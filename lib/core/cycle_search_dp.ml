@@ -1,99 +1,187 @@
 module G = Krsp_graph.Digraph
-module BF = Krsp_graph.Bellman_ford
 module Walk = Krsp_graph.Walk
 
 type candidate = { edges : G.edge list; cost : int; delay : int; kind : Bicameral.kind }
 
-(* The product (state) graph: vertex (u, c) for residual vertex u and
-   accumulated cost c in [-B, B]; its edge "cost" field carries the residual
-   *delay* (the quantity Bellman-Ford minimises), and [pmap] maps each state
-   edge back to its residual edge.
-
-   The state graph depends only on the residual graph's {e structure and
-   weights}, not on which residual edges are active this round — so over an
-   arena-backed residual (static doubled graph) it can be built and frozen
-   once and reused across every cancellation round of a guess, with the
-   current round's inactive residual edges compacted away by a restricted
-   view. That reusable product covers {e all} arena edges and so costs
-   double the active set to build; a one-shot search (the common case — most
-   guesses settle within a round or two) is better served by an ephemeral
-   product over the {e currently active} edges only, which is what [find]
-   builds when no searcher is supplied. *)
-type searcher = {
-  s_graph : G.t; (* the product graph, frozen *)
-  s_pmap : int array; (* product edge -> residual edge *)
-  s_bound : int;
-  s_res : G.t; (* the residual graph the product was built over *)
-  s_generation : int; (* s_res's adjacency generation at build time *)
-  s_masked : bool; (* product contains edges inactive at build time *)
+(* The product (state) space — vertex (u, c) for residual vertex u and
+   accumulated cost c in [-B, B] — is never materialised. State (u, c) is
+   the integer u·(2B+1) + (c+B); its out-edges are the active residual
+   out-edges of u whose cost keeps c inside the window, weighted by the
+   residual delay (the quantity minimised). One pass per search flattens
+   the round's active edges into parallel arrays grouped by source, in
+   ascending residual edge id: the order the CSR of a materialised
+   product holds them in. Together with the FIFO discipline of [spfa] this
+   reproduces a Bellman_ford run over that product exactly — distances,
+   parents, enqueue counts — and with them every candidate list (the
+   differential property in test/test_core.ml holds it to that). *)
+type space = {
+  bound : int;
+  width : int; (* 2·bound + 1 layers *)
+  states : int; (* n · width *)
+  graph : G.t; (* the residual graph, for walking parent chains *)
+  out_start : int array; (* length n+1: u's edges are slots out_start.(u) .. out_start.(u+1)-1 *)
+  out_edge : int array; (* slot -> residual edge id *)
+  out_dst : int array; (* slot -> head vertex *)
+  out_cost : int array; (* slot -> residual cost, the layer offset *)
+  out_delay : int array; (* slot -> residual delay, the relaxed weight *)
 }
 
-let prepare_product ~skip_inactive res ~bound =
-  if bound < 1 then invalid_arg "Cycle_search_dp.prepare: bound must be >= 1";
-  let rg = res.Residual.graph in
+let space res ~bound =
+  if bound < 1 then invalid_arg "Cycle_search_dp.space: bound must be >= 1";
+  let rg = res.Residual.graph and active = res.Residual.active in
   let n = G.n rg in
-  let width = (2 * bound) + 1 in
-  let idx u c = (u * width) + (c + bound) in
-  let p = G.create ~expected_edges:(G.m rg * width) ~n:(n * width) () in
-  let pmap = ref [] in
-  let masked = ref false in
+  let start = Array.make (n + 1) 0 in
   G.iter_edges rg (fun e ->
-      if not res.Residual.active.(e) && skip_inactive then ()
-      else begin
-        if not res.Residual.active.(e) then masked := true;
-        let u = G.src rg e and w = G.dst rg e in
-        let c = G.cost rg e and d = G.delay rg e in
-        let lo = max (-bound) (-bound - c) and hi = min bound (bound - c) in
-        for i = lo to hi do
-          ignore (G.add_edge p ~src:(idx u i) ~dst:(idx w (i + c)) ~cost:d ~delay:0);
-          pmap := e :: !pmap
-        done
+      if active.(e) then begin
+        let u = G.src rg e + 1 in
+        start.(u) <- start.(u) + 1
       end);
-  ignore (G.freeze p);
+  for u = 1 to n do
+    start.(u) <- start.(u) + start.(u - 1)
+  done;
+  let slots = start.(n) in
+  let edge = Array.make slots 0 and dst = Array.make slots 0 in
+  let cost = Array.make slots 0 and delay = Array.make slots 0 in
+  let next = Array.sub start 0 n in
+  G.iter_edges rg (fun e ->
+      if active.(e) then begin
+        let u = G.src rg e in
+        let i = next.(u) in
+        next.(u) <- i + 1;
+        edge.(i) <- e;
+        dst.(i) <- G.dst rg e;
+        cost.(i) <- G.cost rg e;
+        delay.(i) <- G.delay rg e
+      end);
+  let width = (2 * bound) + 1 in
   {
-    s_graph = p;
-    s_pmap = Array.of_list (List.rev !pmap);
-    s_bound = bound;
-    s_res = rg;
-    s_generation = G.generation rg;
-    s_masked = !masked;
+    bound;
+    width;
+    states = n * width;
+    graph = rg;
+    out_start = start;
+    out_edge = edge;
+    out_dst = dst;
+    out_cost = cost;
+    out_delay = delay;
   }
 
-let prepare res ~bound = prepare_product ~skip_inactive:false res ~bound
+let state sp u c = (u * sp.width) + (c + sp.bound)
 
-let idx_of s u c = (u * ((2 * s.s_bound) + 1)) + (c + s.s_bound)
+(* the state [s] was reached from through its parent edge *)
+let parent_state sp parent s =
+  let e = parent.(s) in
+  (G.src sp.graph e * sp.width) + (s mod sp.width) - G.cost sp.graph e
 
-(* a searcher is reusable for [res] iff it was built over the very same
-   residual graph value (arena reuse hands out the same doubled graph every
-   round), unmutated since, at the same bound *)
-let compatible s res ~bound =
-  s.s_bound = bound
-  && s.s_res == res.Residual.graph
-  && s.s_generation = G.generation s.s_res
+(* As in Bellman_ford: [states] hops up the parent chain from a state
+   downstream of a negative cycle land inside it; collect edges from there
+   until the start repeats. *)
+let extract_cycle sp parent from =
+  let s = ref from in
+  for _ = 1 to sp.states do
+    assert (parent.(!s) >= 0);
+    s := parent_state sp parent !s
+  done;
+  let cycle_start = !s in
+  let rec collect acc s =
+    let u = parent_state sp parent s in
+    let acc = parent.(s) :: acc in
+    if u = cycle_start then acc else collect acc u
+  in
+  collect [] cycle_start
 
-let searcher_for ?searcher res ~bound =
-  match searcher with
-  | Some s when compatible s res ~bound -> s
-  | Some _ -> invalid_arg "Cycle_search_dp: searcher does not match residual/bound"
-  | None ->
-    (* one-shot: only active edges enter the product, no masking needed and
-       the build costs the same as a residual freshly materialised by
-       [Residual.build] — reusable searchers pay double for reusability *)
-    prepare_product ~skip_inactive:true res ~bound
+type outcome =
+  | Settled of int array (* parent residual edge per state, -1 at sources *)
+  | Cycle of G.edge list
 
-(* mask: a product edge is traversable iff its residual edge is active.
-   Rather than a [disabled] predicate paid per edge scan per Bellman–Ford
-   pass, compact the mask into a sub-view once per round — the searches
-   then never touch a masked edge, so an arena-backed round traverses the
-   same edge count a freshly built residual would. Products that contain
-   no inactive edges skip even that compaction pass. *)
-let masked_view s res =
-  if not s.s_masked then G.freeze s.s_graph
-  else begin
-    let pmap = s.s_pmap and active = res.Residual.active in
-    G.View.restrict (G.freeze s.s_graph) ~keep:(fun pe ->
-        Array.unsafe_get active (Array.unsafe_get pmap pe))
-  end
+(* FIFO SPFA over the implicit product, with Bellman_ford's enqueue-count
+   bound (a state entering the queue more than [states + 1] times lies
+   downstream of a negative cycle). Every state with a finite [dist] starts
+   queued, in ascending order; [dist] is updated in place. *)
+let spfa sp dist =
+  let states = sp.states and width = sp.width in
+  let start = sp.out_start and edge = sp.out_edge and dst = sp.out_dst in
+  let cost = sp.out_cost and delay = sp.out_delay in
+  let parent = Array.make states (-1) in
+  let in_queue = Bytes.make states '\000' in
+  let enqueues = Array.make states 0 in
+  (* a state is queued at most once at a time, so [states] slots suffice *)
+  let queue = Array.make (max states 1) 0 in
+  let head = ref 0 and tail = ref 0 and queued = ref 0 in
+  for s = 0 to states - 1 do
+    if dist.(s) <> max_int then begin
+      queue.(!tail) <- s;
+      incr tail;
+      incr queued;
+      Bytes.unsafe_set in_queue s '\001';
+      enqueues.(s) <- 1
+    end
+  done;
+  if !tail = states then tail := 0;
+  let exception Found of int in
+  match
+    while !queued > 0 do
+      let s = queue.(!head) in
+      head := if !head + 1 = states then 0 else !head + 1;
+      decr queued;
+      Bytes.unsafe_set in_queue s '\000';
+      let ds = dist.(s) in
+      let u = s / width in
+      let layer = s - (u * width) in
+      for i = start.(u) to start.(u + 1) - 1 do
+        let l = layer + Array.unsafe_get cost i in
+        if l >= 0 && l < width then begin
+          let t = (Array.unsafe_get dst i * width) + l in
+          let nd = ds + Array.unsafe_get delay i in
+          if nd < Array.unsafe_get dist t then begin
+            Array.unsafe_set dist t nd;
+            Array.unsafe_set parent t (Array.unsafe_get edge i);
+            if Bytes.unsafe_get in_queue t = '\000' then begin
+              let k = Array.unsafe_get enqueues t + 1 in
+              Array.unsafe_set enqueues t k;
+              if k > states + 1 then raise_notrace (Found t);
+              Array.unsafe_set queue !tail t;
+              tail := if !tail + 1 = states then 0 else !tail + 1;
+              incr queued;
+              Bytes.unsafe_set in_queue t '\001'
+            end
+          end
+        end
+      done
+    done
+  with
+  | () -> Settled parent
+  | exception Found t -> Cycle (extract_cycle sp parent t)
+
+let phase_a sp =
+  match spfa sp (Array.make sp.states 0) with
+  | Cycle walk -> Some walk
+  | Settled _ -> None
+
+let phase_b sp ~root =
+  let dist = Array.make sp.states max_int in
+  dist.(state sp root 0) <- 0;
+  match spfa sp dist with
+  | Cycle _ -> None
+  | Settled parent -> Some (dist, parent)
+
+(* Min-delay closed walks from (root, 0) to every reachable (root, c),
+   c ≠ 0, in ascending c; none when a negative cycle is reachable (that is
+   phase A's business). *)
+let root_walks sp root =
+  match phase_b sp ~root with
+  | None -> []
+  | Some (dist, parent) ->
+    let rec collect acc s =
+      let e = parent.(s) in
+      if e = -1 then acc else collect (e :: acc) (parent_state sp parent s)
+    in
+    let walks = ref [] in
+    for c = sp.bound downto -sp.bound do
+      let s = state sp root c in
+      if c <> 0 && dist.(s) <> max_int then walks := collect [] s :: !walks
+    done;
+    !walks
 
 let roots res =
   let rg = res.Residual.graph in
@@ -130,34 +218,16 @@ let better ctx a b =
       Some ca
     else Some cb
 
-(* Phase A: any negative-delay cycle of the state graph projects to residual
-   cycles of total cost 0 and total delay < 0, at least one piece of which is
-   itself negative-delay. *)
-let phase_a res ctx s rv =
-  let p = s.s_graph in
-  match BF.negative_cycle p ~weight:(G.cost p) ~view:rv () with
+(* Phase A: any negative-delay cycle of the state space projects to
+   residual cycles of total cost 0 and total delay < 0, at least one piece
+   of which is itself negative-delay. *)
+let phase_a_candidates res ctx sp =
+  match phase_a sp with
   | None -> []
-  | Some pcycle -> candidates_of_walk res ctx (List.map (fun pe -> s.s_pmap.(pe)) pcycle)
+  | Some walk -> candidates_of_walk res ctx walk
 
-(* Phase B for one root: min-delay walks from (root, 0) to every (root, c). *)
-let phase_b res ctx s rv root =
-  let p = s.s_graph and bound = s.s_bound in
-  match BF.run p ~weight:(G.cost p) ~view:rv ~src:(idx_of s root 0) () with
-  | BF.Negative_cycle _ -> [] (* handled by phase A *)
-  | BF.Dist { dist; parent } ->
-    let out = ref [] in
-    for c = -bound to bound do
-      if c <> 0 && dist.(idx_of s root c) <> max_int then begin
-        (* reconstruct the state path and project to residual edges *)
-        let rec collect acc v =
-          let e = parent.(v) in
-          if e = -1 then acc else collect (s.s_pmap.(e) :: acc) (G.src p e)
-        in
-        let walk = collect [] (idx_of s root c) in
-        out := candidates_of_walk res ctx walk @ !out
-      end
-    done;
-    !out
+let phase_b_candidates res ctx sp root =
+  List.fold_left (fun acc walk -> candidates_of_walk res ctx walk @ acc) [] (root_walks sp root)
 
 (* When stopping early, keep scanning roots until a delay-reducing candidate
    (type-0/1) shows up — settling for the first type-2 can stall Algorithm 1
@@ -165,11 +235,9 @@ let phase_b res ctx s rv root =
 let delay_reducing found =
   List.exists (fun c -> c.kind <> Bicameral.Type2) found
 
-let search ?pool ?searcher res ~ctx ~bound ~stop_early =
-  assert (bound >= 1);
-  let s = searcher_for ?searcher res ~bound in
-  let rv = masked_view s res in
-  let a = phase_a res ctx s rv in
+let search ?pool res ~ctx ~bound ~stop_early =
+  let sp = space res ~bound in
+  let a = phase_a_candidates res ctx sp in
   let all = ref a in
   if stop_early && delay_reducing a then !all
   else begin
@@ -181,16 +249,15 @@ let search ?pool ?searcher res ~ctx ~bound ~stop_early =
     in
     if parallel then begin
       (* Speculative fan-out in waves: a wave of roots runs its phase-B
-         searches concurrently (each Bellman–Ford allocates its own
-         dist/parent scratch; the product graph, its masked view and the
-         residual are shared strictly read-only), then the serial scan's
-         early-stop is re-applied to the wave's results as a prefix rule —
-         accumulate roots in id order up to and including the first
-         delay-reducing one — so the candidate list, and hence the cycle
-         [find] picks, is bit-identical to the serial scan's. Waves bound
-         the speculation: at most [wave - 1] roots past the serial stop
-         point are wasted work traded for wall-clock, the same bargain the
-         guess speculation makes. *)
+         searches concurrently (each SPFA allocates its own scratch; the
+         flat state-space arrays and the residual are shared strictly
+         read-only), then the serial scan's early-stop is re-applied to
+         the wave's results as a prefix rule — accumulate roots in id order
+         up to and including the first delay-reducing one — so the
+         candidate list, and hence the cycle [find] picks, is bit-identical
+         to the serial scan's. Waves bound the speculation: at most
+         [wave - 1] roots past the serial stop point are wasted work traded
+         for wall-clock, the same bargain the guess speculation makes. *)
       let p = Option.get pool in
       let arr = Array.of_list rts in
       let wave = if stop_early then 2 * Krsp_util.Pool.width p else Array.length arr in
@@ -200,7 +267,7 @@ let search ?pool ?searcher res ~ctx ~bound ~stop_early =
         let len = min wave (Array.length arr - !lo) in
         let per_root =
           Krsp_util.Pool.parallel_map ~chunk:1 p
-            (fun root -> phase_b res ctx s rv root)
+            (fun root -> phase_b_candidates res ctx sp root)
             (Array.sub arr !lo len)
         in
         (try
@@ -218,7 +285,7 @@ let search ?pool ?searcher res ~ctx ~bound ~stop_early =
       let rec scan = function
         | [] -> ()
         | root :: rest ->
-          let found = phase_b res ctx s rv root in
+          let found = phase_b_candidates res ctx sp root in
           all := found @ !all;
           if stop_early && delay_reducing found then () else scan rest
       in
@@ -227,39 +294,22 @@ let search ?pool ?searcher res ~ctx ~bound ~stop_early =
     end
   end
 
-let find res ~ctx ~bound ?(exhaustive = false) ?searcher ?pool () =
-  let cands = search ?pool ?searcher res ~ctx ~bound ~stop_early:(not exhaustive) in
+let find res ~ctx ~bound ?(exhaustive = false) ?pool () =
+  let cands = search ?pool res ~ctx ~bound ~stop_early:(not exhaustive) in
   List.fold_left (fun best c -> better ctx best (Some c)) None cands
 
 let enumerate ?pool res ~ctx ~bound = search ?pool res ~ctx ~bound ~stop_early:false
 
 let enumerate_raw res ~bound =
-  assert (bound >= 1);
-  let s = prepare res ~bound in
-  let rv = masked_view s res in
-  let p = s.s_graph in
+  let sp = space res ~bound in
   let all = ref [] in
-  let push cyc =
-    all := (cyc, Residual.cycle_cost res cyc, Residual.cycle_delay res cyc) :: !all
-  in
-  (match BF.negative_cycle p ~weight:(G.cost p) ~view:rv () with
-  | Some pcycle ->
-    List.iter push (cycles_of_walk res (List.map (fun pe -> s.s_pmap.(pe)) pcycle))
-  | None ->
+  let push_walk walk =
     List.iter
-      (fun root ->
-        match BF.run p ~weight:(G.cost p) ~view:rv ~src:(idx_of s root 0) () with
-        | BF.Negative_cycle _ -> ()
-        | BF.Dist { dist; parent } ->
-          for c = -s.s_bound to s.s_bound do
-            if c <> 0 && dist.(idx_of s root c) <> max_int then begin
-              let rec collect acc v =
-                let e = parent.(v) in
-                if e = -1 then acc else collect (s.s_pmap.(e) :: acc) (G.src p e)
-              in
-              let walk = collect [] (idx_of s root c) in
-              List.iter push (cycles_of_walk res walk)
-            end
-          done)
-      (roots res));
+      (fun cyc ->
+        all := (cyc, Residual.cycle_cost res cyc, Residual.cycle_delay res cyc) :: !all)
+      (cycles_of_walk res walk)
+  in
+  (match phase_a sp with
+  | Some walk -> push_walk walk
+  | None -> List.iter (fun root -> List.iter push_walk (root_walks sp root)) (roots res));
   !all

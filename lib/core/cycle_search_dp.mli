@@ -5,14 +5,22 @@
     [-B, B]) — exactly the union of the paper's [H_v^+(B)] and [H_v^-(B)]
     copies glued together — and a cycle of the residual graph through root
     [v] with exact cost [b] is a walk from state [(v, 0)] to [(v, b)]
-    (Lemma 15). The engine:
+    (Lemma 15). The product is {e implicit}: state [(u, c)] is the integer
+    [u·(2B+1) + (c+B)], and its out-edges are read off the residual's
+    active out-edges of [u], flattened once per search into [int] arrays
+    in ascending residual edge id. The engine:
 
-    + detects negative-delay cycles of the state graph first; these project
+    + detects negative-delay cycles of the state space first; these project
       to zero-cost negative-delay residual cycles, i.e. type-0 bicameral
       cycles (and make min-delay walks ill-defined, so they must go first);
     + then, per root, computes minimum-delay walks to every exact cost by
-      Bellman–Ford, decomposes each optimal closed walk into simple residual
-      cycles, and classifies every piece with {!Bicameral.classify}.
+      a FIFO Bellman–Ford (SPFA), decomposes each optimal closed walk into
+      simple residual cycles, and classifies every piece with
+      {!Bicameral.classify}.
+
+    Both phases relax edges in exactly the order a {!Krsp_graph.Bellman_ford}
+    run over the materialised product would, so distances, parents and
+    every candidate list equal that reference's bit for bit.
 
     Only vertices incident to reversed path edges are tried as roots: a
     bicameral cycle needs a negative cost or delay somewhere, and only
@@ -27,28 +35,11 @@ type candidate = {
   kind : Bicameral.kind;
 }
 
-type searcher
-(** A prepared product (state) graph. The product depends only on the
-    residual graph's structure and weights — not on which residual edges
-    are active in a given round — so over an arena-backed residual it can
-    be built and frozen {e once} and reused across a guess's cancellation
-    rounds; each round's inactive residual edges are compacted away with a
-    restricted view before the Bellman–Ford runs. Covering all (active and
-    inactive) arena edges makes it twice the size of a single round's
-    active set, so reuse pays only on round-heavy guesses — {!Krsp}
-    builds one adaptively after a few rounds of the same guess. *)
-
-val prepare : Residual.t -> bound:int -> searcher
-(** Build the reusable product graph over all residual edges (active or
-    not) for cost window [[-bound, bound]]. O(m·bound) space, built and
-    frozen once. Raises [Invalid_argument] when [bound < 1]. *)
-
 val find :
   Residual.t ->
   ctx:Bicameral.context ->
   bound:int ->
   ?exhaustive:bool ->
-  ?searcher:searcher ->
   ?pool:Krsp_util.Pool.t ->
   unit ->
   candidate option
@@ -58,19 +49,16 @@ val find :
     bicameral cycle (any one suffices for Algorithm 1's progress argument);
     [~exhaustive:true] scans every root and returns the global best.
 
-    [searcher], when given, must come from {!prepare} over the same
-    residual graph value (unmutated) with the same [bound] — arena-reusing
-    callers pass it to skip the per-round product rebuild; anything else
-    raises [Invalid_argument]. Without one, an ephemeral product over the
-    {e currently active} residual edges is built for this call — half the
-    size of the reusable product, the right trade for one-shot searches.
+    Each call flattens the residual's {e currently active} edges once
+    (O(n + m)); the state space itself is never allocated.
 
-    [pool], when wider than 1, fans the per-root phase-B Bellman–Ford runs
-    out across domains: the frozen product view and the residual are shared
-    read-only, each search allocates its own scratch, and the serial scan's
-    early-stop is replayed as a prefix rule over the per-root results — so
-    the returned candidate is {e bit-identical} to the serial scan's at any
-    pool width (see DESIGN.md §10 for the determinism contract). *)
+    [pool], when wider than 1, fans the per-root phase-B searches out
+    across domains: the flat edge arrays and the residual are shared
+    read-only, each search allocates its own scratch, and the serial
+    scan's early-stop is replayed as a prefix rule over the per-root
+    results — so the returned candidate is {e bit-identical} to the serial
+    scan's at any pool width (see DESIGN.md §10 for the determinism
+    contract). *)
 
 val enumerate :
   ?pool:Krsp_util.Pool.t ->
@@ -87,3 +75,25 @@ val enumerate_raw :
     classification, as [(edges, cost, delay)]. Used by the naive-cancellation
     baseline of experiment E1 — the algorithm the paper's Figure 1 shows
     going wrong. *)
+
+(** {2 The implicit state space}
+
+    The two phases on their own, for differential testing against a
+    materialised product. *)
+
+type space
+(** The round's active residual edges, flattened for one cost window. *)
+
+val space : Residual.t -> bound:int -> space
+(** O(n + m). Raises [Invalid_argument] when [bound < 1]. *)
+
+val phase_a : space -> G.edge list option
+(** A negative-delay cycle of the state space (every state starts at
+    distance 0), projected to its residual edge ids in walk order; [None]
+    when there is none. *)
+
+val phase_b : space -> root:G.vertex -> (int array * int array) option
+(** Min-delay distances from state [(root, 0)] and the parent of every
+    state as a residual edge id ([-1] at the source and at unreached
+    states), both indexed by [u·(2·bound+1) + (c+bound)]; [None] when a
+    negative cycle is reachable from the source. *)

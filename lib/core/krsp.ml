@@ -66,9 +66,9 @@ let log = Logs.Src.create "krsp" ~doc:"kRSP cycle cancellation"
 
 module L = (val Logs.src_log log : Logs.LOG)
 
-let find_cycle engine ~exhaustive ?numeric ?searcher ?pool res ~ctx ~bound =
+let find_cycle engine ~exhaustive ?numeric ?pool res ~ctx ~bound =
   match engine with
-  | Dp -> Cycle_search_dp.find res ~ctx ~bound ~exhaustive ?searcher ?pool ()
+  | Dp -> Cycle_search_dp.find res ~ctx ~bound ~exhaustive ?pool ()
   | Lp -> Cycle_search_lp.find ?numeric res ~ctx ~bound ~exhaustive ()
 
 let improve t ~start ~guess ?trace ?(engine = Dp) ?(exhaustive = false) ?numeric
@@ -77,13 +77,8 @@ let improve t ~start ~guess ?trace ?(engine = Dp) ?(exhaustive = false) ?numeric
   let total_abs_cost = G.fold_edges g ~init:0 ~f:(fun acc e -> acc + abs (G.cost g e)) in
   (* Arena reuse: the doubled residual graph is shared by every round (and,
      via ?arena, by every guess of the outer search) — per round the only
-     residual work is an O(m) mask refill. The DP engine's product graph is
-     additionally shared by the rounds of THIS guess once there are enough
-     of them to amortise it (its cost window is the guess-dependent
-     [bound]). *)
+     residual work is an O(m) mask refill. *)
   let arena = match arena with Some a -> a | None -> Residual.arena g in
-  let searcher = ref None in
-  let searches = ref 0 in
   let bound = max 1 (min guess total_abs_cost) in
   (* stall detection: a guess that has not produced a new minimum delay for
      [stall_limit] iterations is hopeless (type-2 trade-backs are cycling);
@@ -114,23 +109,7 @@ let improve t ~start ~guess ?trace ?(engine = Dp) ?(exhaustive = false) ?numeric
       in
       let cycle =
         timed_span trace h_search "round.search" (fun () ->
-            incr searches;
-            (* Adaptive searcher reuse: the reusable product covers all 2m
-               arena edges — double the cost of the ephemeral active-only
-               product [find] builds on its own — so building it only pays
-               once a guess has proven round-heavy. Most guesses settle in a
-               search or two; E1-style zigzags run hundreds. *)
-            let s =
-              match (engine, !searcher) with
-              | Lp, _ -> None
-              | Dp, Some s -> Some s
-              | Dp, None when !searches >= 3 ->
-                let s = Cycle_search_dp.prepare res ~bound in
-                searcher := Some s;
-                Some s
-              | Dp, None -> None
-            in
-            find_cycle engine ~exhaustive ?numeric ?searcher:s ?pool res ~ctx ~bound)
+            find_cycle engine ~exhaustive ?numeric ?pool res ~ctx ~bound)
       in
       match cycle with
       | None -> None

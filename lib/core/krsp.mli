@@ -73,9 +73,7 @@ val improve :
     delay made no progress for [stall_limit] iterations (default 40).
 
     Each round's residual comes from an {!Residual.arena} over the instance
-    graph — an O(m) mask refill instead of a graph build — and the DP
-    engine's product graph is prepared once and reused across all rounds.
-    [arena] lets callers running several [improve]s over one instance
+    graph — an O(m) mask refill instead of a graph build. [arena] lets callers running several [improve]s over one instance
     (e.g. {!solve}'s guess search) share the doubled graph too; it must
     have been created by [Residual.arena] on this instance's graph.
     [pool] is forwarded to the DP engine's root search (see

@@ -35,8 +35,8 @@ let build g ~paths =
    weights) and a reversed copy [2e+1] (endpoints swapped, both weights
    negated). A round's residual is then a pure view transform — refill the
    [active] mask so exactly one copy of each base edge participates — and
-   the doubled graph (and its frozen CSR view, and any state graph built
-   over it) survives every cancellation round untouched. *)
+   the doubled graph (and its frozen CSR view) survives every cancellation
+   round untouched. *)
 type arena = {
   a_graph : G.t;
   a_base : G.t; (* the base graph, for tombstone lookups in of_arena *)

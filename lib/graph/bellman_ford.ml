@@ -26,12 +26,14 @@ let extract_cycle g parent start =
   in
   collect [] cycle_start
 
-(* SPFA (queue-based Bellman-Ford): near-linear on the layered state graphs
-   the bicameral search builds, with the classic enqueue-count bound for
-   negative-cycle detection (a vertex re-entering the queue more than n
-   times lies downstream of a negative cycle). *)
-let run_from g ~weight ~disabled ~view dist =
+(* SPFA (queue-based Bellman-Ford): near-linear on sparse layered graphs,
+   with the classic enqueue-count bound for negative-cycle detection (a
+   vertex re-entering the queue more than n times lies downstream of a
+   negative cycle). Cycle_search_dp runs the same discipline over an
+   implicit product, and the tests hold it to this reference. *)
+let run_from g ~weight ~disabled dist =
   let n = G.n g in
+  let view = G.freeze g in
   let parent = Array.make n (-1) in
   let in_queue = Array.make n false in
   let enqueues = Array.make n 0 in
@@ -73,19 +75,15 @@ let run_from g ~weight ~disabled ~view dist =
   | Some c -> Negative_cycle c
   | None -> Dist { dist; parent }
 
-let view_of g = function
-  | Some v -> v
-  | None -> G.freeze g
-
-let run g ~weight ?(disabled = fun _ -> false) ?view ~src () =
+let run g ~weight ?(disabled = fun _ -> false) ~src () =
   let dist = Array.make (G.n g) max_int in
   dist.(src) <- 0;
-  run_from g ~weight ~disabled ~view:(view_of g view) dist
+  run_from g ~weight ~disabled dist
 
-let negative_cycle g ~weight ?(disabled = fun _ -> false) ?view () =
+let negative_cycle g ~weight ?(disabled = fun _ -> false) () =
   (* virtual super-source: every vertex starts at distance 0 *)
   let dist = Array.make (G.n g) 0 in
-  match run_from g ~weight ~disabled ~view:(view_of g view) dist with
+  match run_from g ~weight ~disabled dist with
   | Dist _ -> None
   | Negative_cycle c -> Some c
 

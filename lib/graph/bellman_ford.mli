@@ -15,28 +15,21 @@ val run :
   Digraph.t ->
   weight:(Digraph.edge -> int) ->
   ?disabled:(Digraph.edge -> bool) ->
-  ?view:Digraph.view ->
   src:Digraph.vertex ->
   unit ->
   result
 (** Single-source run; reports a negative cycle reachable from [src] if one
-    exists, otherwise the distances.
-
-    [view], when given, is the adjacency to traverse instead of
-    [Digraph.freeze g] — typically a {!Digraph.View.restrict}ion of [g]'s
-    view, which beats an equivalent [disabled] predicate by never scanning
-    the masked edges at all. It must be a view of [g]. *)
+    exists, otherwise the distances. *)
 
 val negative_cycle :
   Digraph.t ->
   weight:(Digraph.edge -> int) ->
   ?disabled:(Digraph.edge -> bool) ->
-  ?view:Digraph.view ->
   unit ->
   Path.t option
 (** Any negative-weight simple cycle anywhere in the graph ([None] if none).
     Implemented as a run from a virtual super-source (all distances start
-    at 0). [view] as in {!run}. *)
+    at 0). *)
 
 val shortest_path :
   Digraph.t ->

@@ -452,37 +452,6 @@ module View = struct
     | Some o when i >= Array.length v.in_adj ->
       Array.unsafe_get o.o_in_buf (i - Array.length v.in_adj)
     | _ -> Array.unsafe_get v.in_adj i
-
-  (* Sub-view with the adjacency compacted to the edges [keep] accepts —
-     the mask transform of the arena design: O(n + m) once per round buys
-     traversals that never touch a masked edge (as opposed to a [disabled]
-     check paid per scan, per pass). Edge ids are unchanged (vm is still
-     the parent's validity bound), weights still read live, and the result
-     goes stale exactly when the parent does. Restricting an overlay view
-     folds the patch in: the result is a plain compacted view. *)
-  let restrict v ~keep =
-    let n = v.vn in
-    let compact iter_row =
-      let idx' = Array.make (n + 1) 0 in
-      for u = 0 to n - 1 do
-        let kept = ref 0 in
-        iter_row u (fun e -> if keep e then incr kept);
-        idx'.(u + 1) <- idx'.(u) + !kept
-      done;
-      let adj' = Array.make idx'.(n) 0 in
-      for u = 0 to n - 1 do
-        let cur = ref idx'.(u) in
-        iter_row u (fun e ->
-            if keep e then begin
-              Array.unsafe_set adj' !cur e;
-              incr cur
-            end)
-      done;
-      (idx', adj')
-    in
-    let out_idx, out_adj = compact (fun u f -> iter_out v u f) in
-    let in_idx, in_adj = compact (fun u f -> iter_in v u f) in
-    { v with out_idx; out_adj; in_idx; in_adj; ov = None }
 end
 
 let src t e = check_edge t e; t.src.(e)

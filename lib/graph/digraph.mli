@@ -196,14 +196,6 @@ module View : sig
   val out_entry : view -> int -> edge
   val in_span : view -> vertex -> int * int
   val in_entry : view -> int -> edge
-
-  val restrict : view -> keep:(edge -> bool) -> view
-  (** Sub-view whose adjacency (both directions) is compacted to the edges
-      [keep] accepts — the preferred way to run a traversal under a mask:
-      O(n + m) once, and the traversal then never touches a masked edge
-      (unlike a per-scan [disabled] predicate). Edge ids, weights and
-      staleness behave exactly as in the parent view; the result is not
-      cached on the graph. *)
 end
 
 val edges : t -> edge list

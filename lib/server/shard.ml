@@ -252,15 +252,11 @@ let mix64 z =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94d049bb133111ebL in
   logxor z (shift_right_logical z 31)
 
-(* The routing key is (src, dst, topology generation). The route is a pure
-   function of the key, and deliberately CONSTANT in the generation
-   component: the generation is what keys the per-shard caches, while
-   cross-generation stability is what keeps carried-forward cache entries
-   (FAIL rekeys unaffected entries to the new generation in place) and
-   warm-start donors co-located with the queries that will want them. A
-   hash that mixed the generation in would reshuffle every (s, t) to a
-   fresh shard on every mutation and silently forfeit both. *)
-let route t ~src ~dst ~generation:_ =
+(* The route is a pure function of (src, dst) and nothing else. Cache
+   keys are generation-free (tombstones keep edge ids stable), so entries
+   that scoped invalidation carries across a mutation, and the warm-start
+   donors, stay on the shard that the same (s, t) will be routed to next. *)
+let route t ~src ~dst =
   let open Int64 in
   let h = mix64 (add (mul (of_int src) 0x9e3779b97f4a7c15L) (of_int dst)) in
   to_int (rem (logand h max_int) (of_int (Array.length t.shards)))
@@ -527,7 +523,7 @@ let submit t ~complete line =
     Replied (Protocol.print_response (broadcast_mutation t request))
   | Ok
       ((Protocol.Solve { src; dst; _ } | Protocol.Qos { src; dst; _ }) as request) ->
-    let i = route t ~src ~dst ~generation:t.generation in
+    let i = route t ~src ~dst in
     let shard = t.shards.(i) in
     if try_push shard (query_task t ~src ~dst ~complete request) then begin
       Metrics.incr t.c_routed;
@@ -556,7 +552,7 @@ let handle_line t line =
   in
   match Protocol.parse_request line with
   | Ok ((Protocol.Solve { src; dst; _ } | Protocol.Qos { src; dst; _ }) as request) ->
-    let i = route t ~src ~dst ~generation:t.generation in
+    let i = route t ~src ~dst in
     if push_wait t.shards.(i) (query_task t ~src ~dst ~complete request) then begin
       Metrics.incr t.c_routed;
       Mutex.lock mu;

@@ -10,16 +10,14 @@
 
     {2 Routing}
 
-    Query traffic ([SOLVE]/[QOS]) is routed by a deterministic hash of the
-    routing key [(src, dst, topology generation)]: the same key always
-    lands on the same shard, so repeat queries find their shard's cache
-    warm and sharding multiplies — rather than dilutes — E14's µs cache
-    hits. The route is deliberately {e constant in the generation
-    component}: caches are generation-keyed per shard, and cross-generation
-    stability is what keeps carried-forward entries (FAIL rekeys unaffected
-    entries in place) and warm-start donors co-located with the queries
-    that will want them. [PING]/[STATS]/[TRACE] are answered by the front;
-    malformed lines never reach a shard.
+    Query traffic ([SOLVE]/[QOS]) is routed by a deterministic hash of
+    [(src, dst)]: the same pair always lands on the same shard, so repeat
+    queries find their shard's cache warm and sharding multiplies — rather
+    than dilutes — E14's µs cache hits. Mutations do not move a pair:
+    cache keys are generation-free, so the entries scoped invalidation
+    carries forward and the warm-start donors stay co-located with the
+    queries that will want them. [PING]/[STATS]/[TRACE] are answered by
+    the front; malformed lines never reach a shard.
 
     {2 Tracing}
 
@@ -98,10 +96,10 @@ val generations : t -> int array
     after any {!submit}/{!handle_line} returns (the barrier orders the
     reads); all entries are equal then. *)
 
-val route : t -> src:int -> dst:int -> generation:int -> int
-(** The shard index for a routing key. Pure and deterministic: equal keys
+val route : t -> src:int -> dst:int -> int
+(** The shard index for a query pair. Pure and deterministic: equal pairs
     give equal routes, in this fleet and in any fleet with the same shard
-    count. Constant in [generation] by design (see the module preamble). *)
+    count, across every mutation (see the module preamble). *)
 
 val submit : t -> complete:(string -> unit) -> string -> outcome
 (** Parse and dispatch one request line. [complete] is invoked {e on the

@@ -499,7 +499,7 @@ let test_figure1_cost_cap () =
         true
         (Bicameral.classify (ctx (-c)) ~cost:c ~delay:d = Some Bicameral.Type2))
     over_cap;
-  (* the searcher itself respects the cap: no enumerated candidate under the
+  (* the search itself respects the cap: no enumerated candidate under the
      capped context exceeds it, even with a wide cost window *)
   List.iter
     (fun cand ->

@@ -169,27 +169,8 @@ let arena_matches_build_prop =
              in
              let sig_of = function None -> None | Some c -> Some (c.Dp.cost, c.Dp.delay) in
              let from_build = Dp.find res_b ~ctx ~bound ~exhaustive:true () in
-             let searcher = Dp.prepare res_a ~bound in
-             let from_arena = Dp.find res_a ~ctx ~bound ~exhaustive:true ~searcher () in
+             let from_arena = Dp.find res_a ~ctx ~bound ~exhaustive:true () in
              !ok && sig_of from_build = sig_of from_arena)))
-
-let test_searcher_mismatch_rejected () =
-  let t = diamond_instance ~delay_bound:30 ~k:2 in
-  let g = t.Instance.graph in
-  let paths = [ [ 0; 1 ] ] in
-  let res = Residual.of_arena (Residual.arena g) ~paths in
-  let searcher = Dp.prepare res ~bound:5 in
-  let ctx = { Bicameral.delta_d = 0; delta_c = 0; cost_cap = 5 } in
-  let mismatch = Invalid_argument "Cycle_search_dp: searcher does not match residual/bound" in
-  (* a searcher is tied to one residual graph value at one bound *)
-  Alcotest.check_raises "foreign residual" mismatch (fun () ->
-      ignore (Dp.find (Residual.build g ~paths) ~ctx ~bound:5 ~searcher ()));
-  Alcotest.check_raises "different bound" mismatch (fun () ->
-      ignore (Dp.find res ~ctx ~bound:6 ~searcher ()));
-  (* mutating the residual graph invalidates it too (generation check) *)
-  ignore (G.add_vertex res.Residual.graph);
-  Alcotest.check_raises "mutated residual" mismatch (fun () ->
-      ignore (Dp.find res ~ctx ~bound:5 ~searcher ()))
 
 (* Proposition 7 as a property: applying any simple residual cycle to k
    disjoint paths yields k disjoint paths whose cost/delay shift by exactly
@@ -472,6 +453,173 @@ let engines_agree_prop =
                  in
                  valid dp && valid lp && (lp = None || dp <> None)
              end)))
+
+(* --- the implicit DP state space against a materialised product ----------- *)
+
+module BF = Krsp_graph.Bellman_ford
+
+(* The reference: the (2B+1)-layer product built as a graph, vertex
+   u·(2B+1) + (c+B) per state and one edge per active residual edge per
+   layer that keeps the cost inside the window, weighted by the residual
+   delay; [pmap] maps product edges back to residual edges. *)
+let materialised_product res ~bound =
+  let rg = res.Residual.graph in
+  let width = (2 * bound) + 1 in
+  let idx u c = (u * width) + (c + bound) in
+  let p = G.create ~expected_edges:(G.m rg * width) ~n:(G.n rg * width) () in
+  let pmap = ref [] in
+  G.iter_edges rg (fun e ->
+      if Residual.active res e then begin
+        let u = G.src rg e and w = G.dst rg e in
+        let c = G.cost rg e and d = G.delay rg e in
+        for i = max (-bound) (-bound - c) to min bound (bound - c) do
+          ignore (G.add_edge p ~src:(idx u i) ~dst:(idx w (i + c)) ~cost:d ~delay:0);
+          pmap := e :: !pmap
+        done
+      end);
+  (p, Array.of_list (List.rev !pmap), idx)
+
+(* the reference search over the materialised product, phase by phase *)
+let reference_search res ~bound =
+  let p, pmap, idx = materialised_product res ~bound in
+  let project pe = if pe < 0 then pe else pmap.(pe) in
+  let phase_a = Option.map (List.map project) (BF.negative_cycle p ~weight:(G.cost p) ()) in
+  let phase_b root =
+    match BF.run p ~weight:(G.cost p) ~src:(idx root 0) () with
+    | BF.Negative_cycle _ -> None
+    | BF.Dist { dist; parent } -> Some (dist, parent)
+  in
+  let root_walks root =
+    match phase_b root with
+    | None -> []
+    | Some (dist, parent) ->
+      let rec collect acc v =
+        let e = parent.(v) in
+        if e = -1 then acc else collect (pmap.(e) :: acc) (G.src p e)
+      in
+      List.filter_map
+        (fun c ->
+          if c <> 0 && dist.(idx root c) <> max_int then Some (collect [] (idx root c)) else None)
+        (List.init ((2 * bound) + 1) (fun i -> i - bound))
+  in
+  let phase_b_projected root =
+    Option.map (fun (dist, parent) -> (dist, Array.map project parent)) (phase_b root)
+  in
+  (phase_a, phase_b_projected, root_walks)
+
+let search_roots res =
+  let rg = res.Residual.graph in
+  List.filter
+    (fun v ->
+      let touches = ref false in
+      G.iter_edges rg (fun e ->
+          if res.Residual.is_reversed.(e) && Residual.active res e
+             && (G.src rg e = v || G.dst rg e = v)
+          then touches := true);
+      !touches)
+    (List.init (G.n rg) Fun.id)
+
+let reference_enumerate_raw res ~bound =
+  let phase_a, _, root_walks = reference_search res ~bound in
+  let cycles walk =
+    List.map
+      (fun cyc -> (cyc, Residual.cycle_cost res cyc, Residual.cycle_delay res cyc))
+      (Krsp_graph.Walk.decompose_cycles res.Residual.graph walk)
+  in
+  let walks =
+    match phase_a with
+    | Some walk -> [ walk ]
+    | None -> List.concat_map root_walks (search_roots res)
+  in
+  List.fold_left (fun acc walk -> List.rev_append (cycles walk) acc) [] walks
+
+let reference_find_exhaustive res ~ctx ~bound =
+  let phase_a, _, root_walks = reference_search res ~bound in
+  let candidates walk =
+    List.filter_map
+      (fun cyc ->
+        let cost = Residual.cycle_cost res cyc and delay = Residual.cycle_delay res cyc in
+        Option.map
+          (fun kind -> { Dp.edges = cyc; cost; delay; kind })
+          (Bicameral.classify ctx ~cost ~delay))
+      (Krsp_graph.Walk.decompose_cycles res.Residual.graph walk)
+  in
+  let per_root root =
+    List.fold_left (fun acc walk -> candidates walk @ acc) [] (root_walks root)
+  in
+  let all =
+    List.fold_left
+      (fun acc root -> per_root root @ acc)
+      (match phase_a with None -> [] | Some walk -> candidates walk)
+      (search_roots res)
+  in
+  List.fold_left
+    (fun best c ->
+      match best with
+      | Some b
+        when Bicameral.compare_candidates ctx (b.Dp.cost, b.Dp.delay) (c.Dp.cost, c.Dp.delay)
+             <= 0 ->
+        best
+      | _ -> Some c)
+    None all
+
+(* The starts are min-sum paths under four weightings of the same graph —
+   cost, delay, random, and 6 − delay (long paths, so reversed edges carry
+   large negative delays) — giving residuals with negative cycles of every
+   sign pattern; small cost ranges make zero-cost negative-delay cycles,
+   which phase A hunts, common. After the paths are fixed, a fifth of the
+   off-path base edges are tombstoned. *)
+let implicit_product_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"implicit product = materialised product (dp search)" ~count:150
+       QCheck2.Gen.int
+       (fun seed ->
+         let rng = X.create ~seed in
+         let n = 4 + X.int rng 5 in
+         let k = 1 + X.int rng 3 in
+         let g = random_graph rng ~n ~p:0.5 ~cmax:[| 1; 2; 6 |].(X.int rng 3) ~dmax:6 in
+         if not (Krsp_graph.Bfs.edge_connectivity_at_least g ~src:0 ~dst:(n - 1) ~k) then true
+         else begin
+           let weigh f =
+             (* no tombstones yet, so edge ids carry over to the copy *)
+             let g', _ = G.filter_map_edges g ~f:(fun e -> Some (f e, 0)) in
+             Phase1.min_sum (Instance.create g' ~src:0 ~dst:(n - 1) ~k ~delay_bound:0)
+           in
+           let start =
+             match X.int rng 4 with
+             | 0 -> weigh (G.cost g)
+             | 1 -> weigh (G.delay g)
+             | 2 -> weigh (fun _ -> X.int rng 7)
+             | _ -> weigh (fun e -> 6 - G.delay g e)
+           in
+           match start with
+           | Phase1.No_k_paths | Phase1.Lp_infeasible -> true
+           | Phase1.Start s ->
+             let paths = s.Phase1.paths in
+             let on_path = Hashtbl.create 16 in
+             List.iter (List.iter (fun e -> Hashtbl.replace on_path e ())) paths;
+             G.iter_edges g (fun e ->
+                 if (not (Hashtbl.mem on_path e)) && X.int rng 5 = 0 then G.remove_edge g e);
+             let res =
+               if X.bool rng then Residual.build g ~paths
+               else Residual.of_arena (Residual.arena g) ~paths
+             in
+             let bound = 1 + X.int rng 8 in
+             let ctx =
+               {
+                 Bicameral.delta_d = X.int_in rng (-10) 10;
+                 delta_c = X.int rng (2 * bound);
+                 cost_cap = bound;
+               }
+             in
+             let ref_a, ref_b, _ = reference_search res ~bound in
+             let sp = Dp.space res ~bound in
+             Dp.phase_a sp = ref_a
+             && List.for_all (fun root -> Dp.phase_b sp ~root = ref_b root) (List.init n Fun.id)
+             && Dp.enumerate_raw res ~bound = reference_enumerate_raw res ~bound
+             && Dp.find res ~ctx ~bound ~exhaustive:true ()
+                = reference_find_exhaustive res ~ctx ~bound
+         end))
 
 (* --- Krsp end-to-end --------------------------------------------------------- *)
 
@@ -773,7 +921,6 @@ let suites =
     ( "residual",
       [ Alcotest.test_case "structure" `Quick test_residual_structure;
         Alcotest.test_case "rejects shared paths" `Quick test_residual_rejects_shared;
-        Alcotest.test_case "searcher mismatch rejected" `Quick test_searcher_mismatch_rejected;
         arena_matches_build_prop;
         oplus_prop;
         lemma9_prop
@@ -790,7 +937,7 @@ let suites =
         Alcotest.test_case "counts" `Quick test_layered_counts;
         layered_projection_prop
       ] );
-    ("engines", [ engines_agree_prop ]);
+    ("engines", [ engines_agree_prop; implicit_product_prop ]);
     ( "krsp",
       [ Alcotest.test_case "diamond tight" `Quick test_krsp_diamond_tight;
         Alcotest.test_case "diamond loose" `Quick test_krsp_diamond_loose;

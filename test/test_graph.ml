@@ -173,23 +173,6 @@ let test_copy_csr_isolated () =
   G.set_cost g2 e01 500;
   Alcotest.(check int) "original keeps its own cost" 1000 (G.cost g e01)
 
-let test_view_restrict () =
-  let g, e01, e13, e02, e23, e03 = diamond () in
-  let view = G.freeze g in
-  let keep e = e <> e02 && e <> e03 in
-  let r = V.restrict view ~keep in
-  Alcotest.(check (list int)) "out 0 filtered" [ e01 ] (sorted_iter_out r 0);
-  Alcotest.(check (list int)) "in 3 filtered" (List.sort compare [ e13; e23 ])
-    (sorted_iter_in r 3);
-  Alcotest.(check (list int)) "out 2 filtered" [ e23 ] (sorted_iter_out r 2);
-  Alcotest.(check int) "degrees follow" 1 (V.out_degree r 0);
-  (* edge ids, endpoints and weights are the parent's *)
-  Alcotest.(check int) "src preserved" (V.src view e01) (V.src r e01);
-  Alcotest.(check int) "cost preserved" (V.cost view e01) (V.cost r e01);
-  (* the parent view is untouched *)
-  Alcotest.(check (list int)) "parent out 0 intact" (List.sort compare [ e01; e02; e03 ])
-    (sorted_iter_out view 0)
-
 (* satellite property: under an interleaved script of add_edge (parallel
    edges and self-loops included), add_vertex and freeze, every frozen view
    exposes exactly the adjacency-list edge multisets, in both directions *)
@@ -238,8 +221,8 @@ let csr_matches_lists_prop =
    revives, re-weights and vertex additions, the overlay freeze is
    bit-indistinguishable from a from-scratch full build — identical edge
    sequences (ids and weights) per vertex in both directions, identical
-   spans, degrees and restrict sub-views — at every compaction regime,
-   including runs that cross compaction boundaries mid-script *)
+   spans and degrees — at every compaction regime, including runs that
+   cross compaction boundaries mid-script *)
 let overlay_equals_refreeze_prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name:"overlay freeze = full refreeze under churn" ~count:150
@@ -287,9 +270,7 @@ let overlay_equals_refreeze_prop =
            let va = G.freeze g in
            let vb = G.rebuild (G.copy g) in
            ok := !ok && V.valid va;
-           same_view va vb;
-           let keep e = e land 1 = 0 in
-           same_view (V.restrict va ~keep) (V.restrict vb ~keep)
+           same_view va vb
          in
          for _ = 1 to 30 do
            let n = G.n g and m = G.m g in
@@ -733,7 +714,6 @@ let suites =
         Alcotest.test_case "stale semantics" `Quick test_view_stale_semantics;
         Alcotest.test_case "weight read-through" `Quick test_view_weight_readthrough;
         Alcotest.test_case "copy does not share snapshot" `Quick test_copy_csr_isolated;
-        Alcotest.test_case "restrict" `Quick test_view_restrict;
         csr_matches_lists_prop
       ] );
     ( "dynamic-topology",

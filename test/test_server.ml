@@ -476,26 +476,23 @@ let with_fleet ?queue_bound ~shards f =
   Fun.protect ~finally:(fun () -> Shard.shutdown fleet) (fun () -> f fleet)
 
 (* the route is a pure function of (src, dst): equal keys give equal shards,
-   in this fleet, in a second fleet of the same width, and across topology
-   generations (generation-stability is what keeps caches and warm-start
-   donors co-located after FAIL/RESTORE) *)
+   in this fleet and in a second fleet of the same width *)
 let test_router_determinism () =
   with_fleet ~shards:4 (fun f1 ->
       with_fleet ~shards:4 (fun f2 ->
           QCheck2.Test.check_exn
-            (QCheck2.Test.make ~name:"route deterministic and generation-stable" ~count:500
-               QCheck2.Gen.(triple (int_range 0 100_000) (int_range 0 100_000) (int_range 0 64))
-               (fun (src, dst, generation) ->
-                 let r = Shard.route f1 ~src ~dst ~generation in
+            (QCheck2.Test.make ~name:"route deterministic" ~count:500
+               QCheck2.Gen.(pair (int_range 0 100_000) (int_range 0 100_000))
+               (fun (src, dst) ->
+                 let r = Shard.route f1 ~src ~dst in
                  r >= 0 && r < 4
-                 && r = Shard.route f1 ~src ~dst ~generation
-                 && r = Shard.route f2 ~src ~dst ~generation
-                 && r = Shard.route f1 ~src ~dst ~generation:(generation + 1)));
+                 && r = Shard.route f1 ~src ~dst
+                 && r = Shard.route f2 ~src ~dst));
           (* and it actually spreads: 256 distinct keys must hit all 4 shards *)
           let hit = Array.make 4 false in
           for src = 0 to 15 do
             for dst = 0 to 15 do
-              hit.(Shard.route f1 ~src ~dst ~generation:0) <- true
+              hit.(Shard.route f1 ~src ~dst) <- true
             done
           done;
           Alcotest.(check bool) "all shards hit" true (Array.for_all Fun.id hit)))
