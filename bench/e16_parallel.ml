@@ -1,18 +1,20 @@
 (* E16 — domain-parallel solver: pool width sweep over the E15 solve
    workloads.
 
-   One batch of instances is solved at pool widths 1/2/4/8. The solver's
-   determinism contract (DESIGN.md section 10) says width only moves wall
-   clock, never the answer — every width's solutions are checked identical
-   to width 1's before its row is accepted. Per-phase attribution comes
-   from the deltas of the process-wide Krsp.metrics histograms, and the
-   speculation counters show how much guess-bisection work ran ahead
-   (spec hits) or was thrown away (spec wasted).
+   One batch of instances is solved at pool widths 1/2/4/8. The one
+   parallel layer inside a solve is the speculative guess bisection; the
+   cycle search's root scan is serial. The solver's determinism contract
+   (DESIGN.md section 10) says width only moves wall clock, never the
+   answer — every width's solutions are checked identical to width 1's
+   before its row is accepted. Per-phase attribution comes from the deltas
+   of the process-wide Krsp.metrics histograms; the speculation counters
+   show how much guess-bisection work ran ahead (spec hits) or was thrown
+   away (spec wasted), and "pool tasks" counts speculative attempts only,
+   two per launched speculation (the midpoint and its flank).
 
-   Speedup expectations are hardware-bound: widths beyond the physical
-   core count oversubscribe and can only lose (speculation then costs real
-   serial time), which is exactly what this experiment is meant to show
-   honestly. KRSP_BENCH_SMOKE=1 shrinks sizes for the CI smoke job. *)
+   A speculation needs two cores, so widths above 2 only add idle domains,
+   and widths beyond the physical core count can only lose.
+   KRSP_BENCH_SMOKE=1 shrinks sizes for the CI smoke job. *)
 
 open Common
 module Metrics = Krsp_util.Metrics

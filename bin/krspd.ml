@@ -106,10 +106,11 @@ let domains_arg =
     & opt (some int) None
     & info [ "domains" ] ~docv:"N"
         ~doc:
-          "Solver-pool width per shard (parallel cycle searches and guess bisection \
-           within one solve). Default: $(b,KRSP_DOMAINS) when set, else the machine's \
-           recommended domain count divided by the shard count. $(docv)=1 disables \
-           within-solve parallelism; total domains are roughly shards × $(docv).")
+          "Solver-pool width per shard (speculative guess bisection within one solve). \
+           Default: $(b,KRSP_DOMAINS) when set, else the machine's recommended domain \
+           count divided by the shard count. $(docv)=1 disables within-solve \
+           parallelism; a speculation runs two attempts at once, so widths above 2 only \
+           add idle domains. Total domains are roughly shards × $(docv).")
 
 let trace_arg =
   Arg.(
@@ -369,9 +370,9 @@ let cmd =
          structured slow-request line on stderr. $(b,--telemetry-port) serves the merged \
          metrics registries as a Prometheus text exposition.";
       `P
-        "With $(b,--domains) > 1 each shard's solver additionally parallelises its cycle \
-         searches and guess bisection on a private domain pool (results are identical at \
-         any width). Pool counters appear in STATS.";
+        "With $(b,--domains) > 1 each shard's solver additionally speculates on its guess \
+         bisection on a private domain pool (results are identical at any width; widths \
+         above 2 only add idle domains). Pool counters appear in STATS.";
       `S Manpage.s_exit_status;
       `P
         "0 on clean shutdown (EOF in stdio mode, or SIGTERM after a graceful drain); 3 when \

@@ -235,70 +235,23 @@ let phase_b_candidates res ctx sp root =
 let delay_reducing found =
   List.exists (fun c -> c.kind <> Bicameral.Type2) found
 
-let search ?pool res ~ctx ~bound ~stop_early =
+let search res ~ctx ~bound ~stop_early =
   let sp = space res ~bound in
+  let rec scan all = function
+    | [] -> all
+    | root :: rest ->
+      let found = phase_b_candidates res ctx sp root in
+      let all = found @ all in
+      if stop_early && delay_reducing found then all else scan all rest
+  in
   let a = phase_a_candidates res ctx sp in
-  let all = ref a in
-  if stop_early && delay_reducing a then !all
-  else begin
-    let rts = roots res in
-    let parallel =
-      match pool with
-      | Some p -> Krsp_util.Pool.width p > 1 && List.length rts > 1
-      | None -> false
-    in
-    if parallel then begin
-      (* Speculative fan-out in waves: a wave of roots runs its phase-B
-         searches concurrently (each SPFA allocates its own scratch; the
-         flat state-space arrays and the residual are shared strictly
-         read-only), then the serial scan's early-stop is re-applied to
-         the wave's results as a prefix rule — accumulate roots in id order
-         up to and including the first delay-reducing one — so the
-         candidate list, and hence the cycle [find] picks, is bit-identical
-         to the serial scan's. Waves bound the speculation: at most
-         [wave - 1] roots past the serial stop point are wasted work traded
-         for wall-clock, the same bargain the guess speculation makes. *)
-      let p = Option.get pool in
-      let arr = Array.of_list rts in
-      let wave = if stop_early then 2 * Krsp_util.Pool.width p else Array.length arr in
-      let stop = ref false in
-      let lo = ref 0 in
-      while (not !stop) && !lo < Array.length arr do
-        let len = min wave (Array.length arr - !lo) in
-        let per_root =
-          Krsp_util.Pool.parallel_map ~chunk:1 p
-            (fun root -> phase_b_candidates res ctx sp root)
-            (Array.sub arr !lo len)
-        in
-        (try
-           Array.iter
-             (fun found ->
-               all := found @ !all;
-               if stop_early && delay_reducing found then raise Exit)
-             per_root
-         with Exit -> stop := true);
-        lo := !lo + len
-      done;
-      !all
-    end
-    else begin
-      let rec scan = function
-        | [] -> ()
-        | root :: rest ->
-          let found = phase_b_candidates res ctx sp root in
-          all := found @ !all;
-          if stop_early && delay_reducing found then () else scan rest
-      in
-      scan rts;
-      !all
-    end
-  end
+  if stop_early && delay_reducing a then a else scan a (roots res)
 
-let find res ~ctx ~bound ?(exhaustive = false) ?pool () =
-  let cands = search ?pool res ~ctx ~bound ~stop_early:(not exhaustive) in
+let find res ~ctx ~bound ?(exhaustive = false) () =
+  let cands = search res ~ctx ~bound ~stop_early:(not exhaustive) in
   List.fold_left (fun best c -> better ctx best (Some c)) None cands
 
-let enumerate ?pool res ~ctx ~bound = search ?pool res ~ctx ~bound ~stop_early:false
+let enumerate res ~ctx ~bound = search res ~ctx ~bound ~stop_early:false
 
 let enumerate_raw res ~bound =
   let sp = space res ~bound in

@@ -40,7 +40,6 @@ val find :
   ctx:Bicameral.context ->
   bound:int ->
   ?exhaustive:bool ->
-  ?pool:Krsp_util.Pool.t ->
   unit ->
   candidate option
 (** Best bicameral cycle under {!Bicameral.compare_candidates}, or [None]
@@ -50,18 +49,11 @@ val find :
     [~exhaustive:true] scans every root and returns the global best.
 
     Each call flattens the residual's {e currently active} edges once
-    (O(n + m)); the state space itself is never allocated.
-
-    [pool], when wider than 1, fans the per-root phase-B searches out
-    across domains: the flat edge arrays and the residual are shared
-    read-only, each search allocates its own scratch, and the serial
-    scan's early-stop is replayed as a prefix rule over the per-root
-    results — so the returned candidate is {e bit-identical} to the serial
-    scan's at any pool width (see DESIGN.md §10 for the determinism
-    contract). *)
+    (O(n + m)); the state space itself is never allocated. The root scan
+    is serial: roots are tried in ascending vertex id (DESIGN.md §10 says
+    why there is no parallel scan). *)
 
 val enumerate :
-  ?pool:Krsp_util.Pool.t ->
   Residual.t ->
   ctx:Bicameral.context ->
   bound:int ->

@@ -66,13 +66,13 @@ let log = Logs.Src.create "krsp" ~doc:"kRSP cycle cancellation"
 
 module L = (val Logs.src_log log : Logs.LOG)
 
-let find_cycle engine ~exhaustive ?numeric ?pool res ~ctx ~bound =
+let find_cycle engine ~exhaustive ?numeric res ~ctx ~bound =
   match engine with
-  | Dp -> Cycle_search_dp.find res ~ctx ~bound ~exhaustive ?pool ()
+  | Dp -> Cycle_search_dp.find res ~ctx ~bound ~exhaustive ()
   | Lp -> Cycle_search_lp.find ?numeric res ~ctx ~bound ~exhaustive ()
 
 let improve t ~start ~guess ?trace ?(engine = Dp) ?(exhaustive = false) ?numeric
-    ?(max_iterations = 2_000) ?(stall_limit = 40) ?arena ?pool () =
+    ?(max_iterations = 2_000) ?(stall_limit = 40) ?arena () =
   let g = t.Instance.graph in
   let total_abs_cost = G.fold_edges g ~init:0 ~f:(fun acc e -> acc + abs (G.cost g e)) in
   (* Arena reuse: the doubled residual graph is shared by every round (and,
@@ -109,7 +109,7 @@ let improve t ~start ~guess ?trace ?(engine = Dp) ?(exhaustive = false) ?numeric
       in
       let cycle =
         timed_span trace h_search "round.search" (fun () ->
-            find_cycle engine ~exhaustive ?numeric ?pool res ~ctx ~bound)
+            find_cycle engine ~exhaustive ?numeric res ~ctx ~bound)
       in
       match cycle with
       | None -> None
@@ -415,7 +415,7 @@ let solve_impl t ?trace ?(engine = Dp) ?(exhaustive = false) ?(phase1 = Phase1.M
             trace "solve.guess"
             (fun () ->
               improve t ~start ~guess ?trace ~engine ~exhaustive ?numeric ~max_iterations
-                ~arena ~pool ())
+                ~arena ())
         in
         (* Folding an attempt's outcome into the stats and [best] is kept
            separate from running it: speculative attempts are only committed

@@ -63,7 +63,6 @@ val improve :
   ?max_iterations:int ->
   ?stall_limit:int ->
   ?arena:Residual.arena ->
-  ?pool:Krsp_util.Pool.t ->
   unit ->
   (Instance.solution * int * int * int * int) option
 (** One run of Algorithm 1's inner loop under a fixed [guess]: returns the
@@ -75,9 +74,7 @@ val improve :
     Each round's residual comes from an {!Residual.arena} over the instance
     graph — an O(m) mask refill instead of a graph build. [arena] lets callers running several [improve]s over one instance
     (e.g. {!solve}'s guess search) share the doubled graph too; it must
-    have been created by [Residual.arena] on this instance's graph.
-    [pool] is forwarded to the DP engine's root search (see
-    {!Cycle_search_dp.find}); results are pool-width-independent. *)
+    have been created by [Residual.arena] on this instance's graph. *)
 
 val repair :
   Instance.t -> paths:Krsp_graph.Path.t list -> Krsp_graph.Path.t list option
@@ -173,10 +170,10 @@ val solve :
     solver results are bit-for-bit identical with and without it.
 
     [pool] (default {!Krsp_util.Pool.default}, i.e. [KRSP_DOMAINS]-sized)
-    parallelises two layers: the DP engine's per-root cycle searches, and
-    the guess bisection itself — each bisect step evaluates the midpoint
-    and, speculatively, the success branch's next midpoint concurrently on
-    separate residual arenas, committing the speculation only when the
-    search actually reaches that guess. Both layers preserve the serial
-    result bit-for-bit (DESIGN.md §10), so pool width is purely a
-    latency/throughput knob. *)
+    parallelises the guess bisection: each bisect step evaluates the
+    midpoint and, speculatively, the success branch's next midpoint
+    concurrently on separate residual arenas, committing the speculation
+    only when the search actually reaches that guess. A speculation needs
+    two tasks at once, so widths above 2 add only idle domains. The
+    result is the serial one bit-for-bit (DESIGN.md §10), so pool width is
+    purely a latency knob. *)

@@ -218,33 +218,15 @@ let invalidate_expansive t = full_invalidate t ~reset_donors:true
 
 (* ---- request handlers ------------------------------------------------------ *)
 
-(* A request is handled in up to three stages so the socket loop can stay
-   on the main domain while solves run on pool workers:
-
-   - the {e prologue} (always main domain) validates, consults the cache
-     and snapshots everything the solve needs — the frozen live view, the
-     instance, the warm-start donor, the topology generation;
-   - a [Deferred] {e job} is safe to run on any domain: it reads the live
-     graph and its frozen view, plus the domain-safe metrics inside the
-     solver;
-   - the job returns a {e commit} closure that must run back on the main
-     domain: it is the only stage that writes engine state (cache, donors,
-     serving metrics), which keeps every mutation single-writer without a
-     single lock in the engine.
-
-   The live graph mutates in place, so topology mutations (FAIL / RESTORE
-   / MUTATE) must be serialised with in-flight jobs: they must only run
-   when no deferred job is outstanding. Every driver in the repository
-   already guarantees this — the shard fleet drains each shard's FIFO in
-   order on one worker domain, and the synchronous [handle] runs its job
-   inline — and the generation commit-guard below additionally drops
-   cache/donor inserts if a mutation was interleaved anyway (the computed
-   solution is still returned: it answers the request as posed). *)
-
-type step = Done of Protocol.response | Deferred of (unit -> unit -> Protocol.response)
+(* A SOLVE or QOS runs in two sibling spans: [engine.prologue] covers
+   validation, the cache lookup with its staleness guard, and the live-view
+   freeze; [solve.job] covers the solve itself. Cache and metric writes
+   follow the solve, outside both. *)
 
 (* monotonic: the reported ms must not jump when NTP steps the wall clock *)
 let ms_since t0 = Timer.now_ms () -. t0
+
+let bad_request msg = Protocol.Err (Protocol.Bad_request msg)
 
 let check_endpoints t ~src ~dst ~k =
   let n = G.n t.graph in
@@ -255,153 +237,146 @@ let check_endpoints t ~src ~dst ~k =
   else None
 
 let do_solve t ?trace ~src ~dst ~k ~delay_bound ~epsilon t0 =
-  match check_endpoints t ~src ~dst ~k with
-  | Some msg -> Done (Protocol.Err (Protocol.Bad_request msg))
-  | None when delay_bound < 0 -> Done (Protocol.Err (Protocol.Bad_request "delay bound < 0"))
-  | None when (match epsilon with Some e -> e <= 0. | None -> false) ->
-    Done (Protocol.Err (Protocol.Bad_request "eps must be > 0"))
-  | None -> (
-    let key = (src, dst, k, delay_bound, epsilon) in
-    let hit =
-      match Cache.find t.cache key with
-      | Some entry when entry_current t entry -> Some entry
-      | Some _ ->
-        (* belt and braces: the invalidation policy should make this
-           unreachable, and the churn suite asserts the counter stays 0 —
-           but a stale entry must never be served either way *)
-        Metrics.incr t.c_stale_hits;
-        Cache.remove t.cache key;
-        None
-      | None -> None
-    in
-    match hit with
-    | Some entry ->
-      Metrics.incr t.c_hits;
-      Option.iter (fun ctx -> Trace.add_root_arg ctx "source" "cache") trace;
-      let ms = ms_since t0 in
-      Metrics.observe t.h_hit ms;
-      Done
-        (Protocol.Solution
-           {
-             cost = entry.e_cost;
-             delay = entry.e_delay;
-             source = Protocol.Cache_hit;
-             ms;
-             paths = vertex_paths t.graph entry.base_paths;
-           })
-    | None ->
-      ignore (live_view t);
-      let gen = t.generation in
-      let inst = Instance.create t.graph ~src ~dst ~k ~delay_bound in
-      let warm_start =
-        Option.map (fun donor -> donor.base_paths) (Hashtbl.find_opt t.donors key)
-      in
-      Deferred
-        (fun () ->
-          let fallbacks0 = Krsp_numeric.Numeric.exact_fallbacks () in
-          let outcome =
-            Trace.with_span trace "solve.job" (fun () ->
-                match epsilon with
-                | None ->
-                  Result.map
-                    (fun (sol, stats) -> (sol, stats))
-                    (Krsp.solve inst ?trace ~engine:t.cfg.solver ?numeric:t.cfg.numeric
-                       ?rsp_oracle:t.cfg.rsp_oracle ~max_iterations:t.cfg.max_iterations
-                       ?warm_start ~pool:t.pool ())
-                | Some eps ->
-                  Result.map
-                    (fun r -> (r.Krsp_core.Scaling.solution, r.Krsp_core.Scaling.stats))
-                    (Krsp_core.Scaling.solve inst ?trace ~epsilon1:eps ~epsilon2:eps
-                       ~engine:t.cfg.solver ?numeric:t.cfg.numeric
-                       ?rsp_oracle:t.cfg.rsp_oracle ~max_iterations:t.cfg.max_iterations
-                       ?warm_start ~pool:t.pool ()))
+  let key = (src, dst, k, delay_bound, epsilon) in
+  match
+    Trace.with_span trace "engine.prologue" (fun () ->
+        match check_endpoints t ~src ~dst ~k with
+        | Some msg -> `Answer (bad_request msg)
+        | None when delay_bound < 0 -> `Answer (bad_request "delay bound < 0")
+        | None when (match epsilon with Some e -> e <= 0. | None -> false) ->
+          `Answer (bad_request "eps must be > 0")
+        | None -> (
+          let hit =
+            match Cache.find t.cache key with
+            | Some entry when entry_current t entry -> Some entry
+            | Some _ ->
+              (* belt and braces: the invalidation policy should make this
+                 unreachable, and the churn suite asserts the counter stays 0 —
+                 but a stale entry must never be served either way *)
+              Metrics.incr t.c_stale_hits;
+              Cache.remove t.cache key;
+              None
+            | None -> None
           in
-          (* root-span attribution for the slow log and the exported trace:
-             what the solve actually did, not what was asked of it *)
-          (match trace with
-          | None -> ()
-          | Some ctx ->
-            Trace.add_root_arg ctx "oracle"
-              (Krsp_rsp.Oracle.to_string
-                 (match t.cfg.rsp_oracle with
-                 | Some k -> k
-                 | None -> Krsp_rsp.Oracle.default ()));
-            Trace.add_root_arg ctx "donor" (string_of_bool (warm_start <> None));
-            let fallbacks = Krsp_numeric.Numeric.exact_fallbacks () - fallbacks0 in
-            if fallbacks > 0 then
-              Trace.add_root_arg ctx "numeric_fallbacks" (string_of_int fallbacks);
-            (match outcome with
-            | Error _ -> Trace.add_root_arg ctx "source" "infeasible"
-            | Ok (_, stats) ->
-              Trace.add_root_arg ctx "source"
-                (if stats.Krsp.warm_started then "warm" else "cold");
-              Trace.add_root_arg ctx "rounds" (string_of_int stats.Krsp.iterations);
-              Trace.add_root_arg ctx "guesses" (string_of_int stats.Krsp.guesses_tried);
-              if stats.Krsp.used_fallback then Trace.add_root_arg ctx "fallback" "true"));
-          let outcome = Result.map (fun (sol, stats) -> (sol, stats.Krsp.warm_started)) outcome in
-          fun () ->
-            match outcome with
-            | Error e ->
-              Metrics.incr t.c_infeasible;
-              Protocol.Err (Protocol.error_of_outcome e)
-            | Ok (sol, warm_started) ->
-              let entry = entry_of_solution sol in
-              if t.generation = gen then begin
-                Cache.add t.cache key entry;
-                index_add t key entry;
-                Hashtbl.replace t.donors key entry
-              end;
-              let source = if warm_started then Protocol.Warm_start else Protocol.Cold in
-              let ms = ms_since t0 in
-              (if warm_started then begin
-                 Metrics.incr t.c_warm;
-                 Metrics.observe t.h_warm ms
-               end
-               else begin
-                 Metrics.incr t.c_cold;
-                 Metrics.observe t.h_cold ms
-               end);
-              Protocol.Solution
-                {
-                  cost = entry.e_cost;
-                  delay = entry.e_delay;
-                  source;
-                  ms;
-                  paths = vertex_paths t.graph entry.base_paths;
-                }))
+          match hit with
+          | Some entry ->
+            Metrics.incr t.c_hits;
+            Option.iter (fun ctx -> Trace.add_root_arg ctx "source" "cache") trace;
+            let ms = ms_since t0 in
+            Metrics.observe t.h_hit ms;
+            `Answer
+              (Protocol.Solution
+                 {
+                   cost = entry.e_cost;
+                   delay = entry.e_delay;
+                   source = Protocol.Cache_hit;
+                   ms;
+                   paths = vertex_paths t.graph entry.base_paths;
+                 })
+          | None ->
+            ignore (live_view t);
+            let inst = Instance.create t.graph ~src ~dst ~k ~delay_bound in
+            let warm_start =
+              Option.map (fun donor -> donor.base_paths) (Hashtbl.find_opt t.donors key)
+            in
+            `Solve (inst, warm_start)))
+  with
+  | `Answer response -> response
+  | `Solve (inst, warm_start) -> (
+    let fallbacks0 = Krsp_numeric.Numeric.exact_fallbacks () in
+    let outcome =
+      Trace.with_span trace "solve.job" (fun () ->
+          match epsilon with
+          | None ->
+            Krsp.solve inst ?trace ~engine:t.cfg.solver ?numeric:t.cfg.numeric
+              ?rsp_oracle:t.cfg.rsp_oracle ~max_iterations:t.cfg.max_iterations ?warm_start
+              ~pool:t.pool ()
+          | Some eps ->
+            Result.map
+              (fun r -> (r.Krsp_core.Scaling.solution, r.Krsp_core.Scaling.stats))
+              (Krsp_core.Scaling.solve inst ?trace ~epsilon1:eps ~epsilon2:eps
+                 ~engine:t.cfg.solver ?numeric:t.cfg.numeric ?rsp_oracle:t.cfg.rsp_oracle
+                 ~max_iterations:t.cfg.max_iterations ?warm_start ~pool:t.pool ()))
+    in
+    (* root-span attribution for the slow log and the exported trace:
+       what the solve actually did, not what was asked of it *)
+    (match trace with
+    | None -> ()
+    | Some ctx ->
+      Trace.add_root_arg ctx "oracle"
+        (Krsp_rsp.Oracle.to_string
+           (match t.cfg.rsp_oracle with Some k -> k | None -> Krsp_rsp.Oracle.default ()));
+      Trace.add_root_arg ctx "donor" (string_of_bool (warm_start <> None));
+      let fallbacks = Krsp_numeric.Numeric.exact_fallbacks () - fallbacks0 in
+      if fallbacks > 0 then Trace.add_root_arg ctx "numeric_fallbacks" (string_of_int fallbacks);
+      (match outcome with
+      | Error _ -> Trace.add_root_arg ctx "source" "infeasible"
+      | Ok (_, stats) ->
+        Trace.add_root_arg ctx "source" (if stats.Krsp.warm_started then "warm" else "cold");
+        Trace.add_root_arg ctx "rounds" (string_of_int stats.Krsp.iterations);
+        Trace.add_root_arg ctx "guesses" (string_of_int stats.Krsp.guesses_tried);
+        if stats.Krsp.used_fallback then Trace.add_root_arg ctx "fallback" "true"));
+    match outcome with
+    | Error e ->
+      Metrics.incr t.c_infeasible;
+      Protocol.Err (Protocol.error_of_outcome e)
+    | Ok (sol, stats) ->
+      let entry = entry_of_solution sol in
+      Cache.add t.cache key entry;
+      index_add t key entry;
+      Hashtbl.replace t.donors key entry;
+      let warm_started = stats.Krsp.warm_started in
+      let ms = ms_since t0 in
+      (if warm_started then begin
+         Metrics.incr t.c_warm;
+         Metrics.observe t.h_warm ms
+       end
+       else begin
+         Metrics.incr t.c_cold;
+         Metrics.observe t.h_cold ms
+       end);
+      Protocol.Solution
+        {
+          cost = entry.e_cost;
+          delay = entry.e_delay;
+          source = (if warm_started then Protocol.Warm_start else Protocol.Cold);
+          ms;
+          paths = vertex_paths t.graph entry.base_paths;
+        })
 
 let do_qos t ?trace ~src ~dst ~k ~per_path_delay t0 =
-  match check_endpoints t ~src ~dst ~k with
-  | Some msg -> Done (Protocol.Err (Protocol.Bad_request msg))
-  | None when per_path_delay < 0 ->
-    Done (Protocol.Err (Protocol.Bad_request "per-path delay < 0"))
-  | None ->
-    ignore (live_view t);
-    Deferred
-      (fun () ->
-        let result =
-          Trace.with_span trace "solve.job" (fun () ->
-              Krsp_core.Qos_paths.solve t.graph ~src ~dst ~k ~per_path_delay ())
-        in
-        fun () ->
-          match result with
-          | Krsp_core.Qos_paths.No_k_disjoint_paths ->
-            Metrics.incr t.c_infeasible;
-            Protocol.Err Protocol.Infeasible_disjoint
-          | Krsp_core.Qos_paths.Relaxation_infeasible d ->
-            Metrics.incr t.c_infeasible;
-            Protocol.Err (Protocol.Infeasible_delay d)
-          | Krsp_core.Qos_paths.Paths (sol, _quality) ->
-            let ms = ms_since t0 in
-            Metrics.observe t.h_qos ms;
-            Protocol.Solution
-              {
-                cost = sol.Instance.cost;
-                delay = sol.Instance.delay;
-                source = Protocol.Cold;
-                ms;
-                paths = vertex_paths t.graph sol.Instance.paths;
-              })
+  match
+    Trace.with_span trace "engine.prologue" (fun () ->
+        match check_endpoints t ~src ~dst ~k with
+        | Some msg -> `Answer (bad_request msg)
+        | None when per_path_delay < 0 -> `Answer (bad_request "per-path delay < 0")
+        | None ->
+          ignore (live_view t);
+          `Solve)
+  with
+  | `Answer response -> response
+  | `Solve -> (
+    match
+      Trace.with_span trace "solve.job" (fun () ->
+          Krsp_core.Qos_paths.solve t.graph ~src ~dst ~k ~per_path_delay ())
+    with
+    | Krsp_core.Qos_paths.No_k_disjoint_paths ->
+      Metrics.incr t.c_infeasible;
+      Protocol.Err Protocol.Infeasible_disjoint
+    | Krsp_core.Qos_paths.Relaxation_infeasible d ->
+      Metrics.incr t.c_infeasible;
+      Protocol.Err (Protocol.Infeasible_delay d)
+    | Krsp_core.Qos_paths.Paths (sol, _quality) ->
+      let ms = ms_since t0 in
+      Metrics.observe t.h_qos ms;
+      Protocol.Solution
+        {
+          cost = sol.Instance.cost;
+          delay = sol.Instance.delay;
+          source = Protocol.Cold;
+          ms;
+          paths = vertex_paths t.graph sol.Instance.paths;
+        })
 
 (* live edges between u and v, either direction *)
 let link_edges t ~u ~v =
@@ -612,56 +587,29 @@ let trace_response path =
       Protocol.Traced { file; events }
     | exception Sys_error msg -> Protocol.Err (Protocol.Internal msg))
 
-let handle_async t ?trace request =
+let handle t ?trace request =
   Metrics.incr t.c_requests;
   let t0 = Timer.now_ms () in
+  let prologue f = Trace.with_span trace "engine.prologue" f in
   match
-    Trace.with_span trace "engine.prologue" (fun () ->
-        match request with
-        | Protocol.Ping -> Done Protocol.Pong
-        | Protocol.Stats -> Done (Protocol.Stats_dump (stats_kv t))
-        | Protocol.Trace { path } -> Done (trace_response path)
-        | Protocol.Solve { src; dst; k; delay_bound; epsilon } ->
-          do_solve t ?trace ~src ~dst ~k ~delay_bound ~epsilon t0
-        | Protocol.Qos { src; dst; k; per_path_delay } ->
-          do_qos t ?trace ~src ~dst ~k ~per_path_delay t0
-        | Protocol.Fail { u; v } -> Done (do_fail t ?trace ~u ~v ())
-        | Protocol.Restore { u; v } -> Done (do_restore t ?trace ~u ~v ())
-        | Protocol.Mutate { ops } -> Done (do_mutate t ?trace ~ops ()))
+    match request with
+    | Protocol.Solve { src; dst; k; delay_bound; epsilon } ->
+      do_solve t ?trace ~src ~dst ~k ~delay_bound ~epsilon t0
+    | Protocol.Qos { src; dst; k; per_path_delay } ->
+      do_qos t ?trace ~src ~dst ~k ~per_path_delay t0
+    | Protocol.Ping -> prologue (fun () -> Protocol.Pong)
+    | Protocol.Stats -> prologue (fun () -> Protocol.Stats_dump (stats_kv t))
+    | Protocol.Trace { path } -> prologue (fun () -> trace_response path)
+    | Protocol.Fail { u; v } -> prologue (do_fail t ?trace ~u ~v)
+    | Protocol.Restore { u; v } -> prologue (do_restore t ?trace ~u ~v)
+    | Protocol.Mutate { ops } -> prologue (do_mutate t ?trace ~ops)
   with
-  | step -> step
-  | exception exn -> Done (internal_error exn)
+  | response -> response
+  | exception exn -> internal_error exn
 
-let handle t ?trace request =
-  match handle_async t ?trace request with
-  | Done r -> r
-  | Deferred job -> (
-    (* run both stages inline, each guarded like the async path would be *)
-    match job () with
-    | commit -> ( match commit () with r -> r | exception exn -> internal_error exn)
-    | exception exn -> internal_error exn)
-
-let handle_line_async t ?trace line =
+let handle_line t line =
   match Protocol.parse_request line with
   | Error e ->
     Metrics.incr t.c_bad;
-    `Reply (Protocol.print_response (Protocol.Err (Protocol.Bad_request (Protocol.describe_parse_error e))))
-  | Ok request -> (
-    match handle_async t ?trace request with
-    | Done r -> `Reply (Protocol.print_response r)
-    | Deferred job ->
-      `Job
-        (fun () ->
-          (* runs on a pool worker: fail into the commit closure so logging
-             and metrics stay on the main domain *)
-          match job () with
-          | commit ->
-            fun () ->
-              Protocol.print_response
-                (match commit () with r -> r | exception exn -> internal_error exn)
-          | exception exn -> fun () -> Protocol.print_response (internal_error exn)))
-
-let handle_line t line =
-  match handle_line_async t line with
-  | `Reply s -> s
-  | `Job job -> (job ()) ()
+    Protocol.print_response (bad_request (Protocol.describe_parse_error e))
+  | Ok request -> Protocol.print_response (handle t request)

@@ -62,22 +62,14 @@
     quality reason as cache entries; tombstoned donor edges are harmless —
     the repair path discards dead edges.
 
-    {2 Offloading solves to a domain pool}
+    {2 Single writer}
 
-    {!handle_line_async} splits a request into a main-domain {e prologue}
-    (validation, cache lookup + staleness guard, live-view snapshot), an
-    optional pool-safe {e job} (the solve itself, over the frozen view)
-    and a main-domain {e commit} (cache/donor/metric writes). The engine
-    itself is single-writer and lock-free: only the socket loop's domain
-    ever mutates it, and cache inserts are skipped when the topology
-    generation moved while a job was in flight.
-
-    Because the live graph now mutates in place, topology mutations must
-    be {e serialised} with deferred jobs: a mutation may only run when no
-    job is in flight on this engine. Every driver in the repository
-    guarantees this by construction — the shard fleet drains each shard's
-    FIFO in order on a single worker domain, and the synchronous {!handle}
-    runs jobs inline. *)
+    {!handle} is synchronous: it runs the whole request, solve included,
+    before it returns, so an engine needs no locks as long as one domain
+    at a time calls it. The shard fleet guarantees that by draining each
+    shard's FIFO on a single worker domain. A solve's speculative guess
+    attempts may run on pool domains, but they only read the live graph,
+    whose frozen view is taken before the solve starts. *)
 
 type t
 
@@ -109,19 +101,19 @@ val default_config : config
 val create : ?config:config -> ?pool:Krsp_util.Pool.t -> Krsp_graph.Digraph.t -> t
 (** Takes a private {!Krsp_graph.Digraph.copy} of the graph — the
     caller's graph is never mutated. [pool] (default
-    {!Krsp_util.Pool.default}) runs the solver's parallel layers and
-    carries the deferred jobs of {!handle_line_async}. *)
+    {!Krsp_util.Pool.default}) runs the solver's speculative guess
+    bisection. *)
 
 val handle : t -> ?trace:Krsp_obs.Trace.ctx -> Protocol.request -> Protocol.response
-(** Total: never raises; unexpected exceptions become [Error (Internal _)].
-    Runs any deferred job inline — the synchronous entry point for tests
-    and the replay benchmark. [trace] (here and in the async variants)
-    threads the request's span context through the solve: an
-    [engine.prologue] span covers the pre-job stage, [solve.job] the
-    deferred solve (which threads the context on into
+(** Total: never raises; unexpected exceptions become [Err (Internal _)],
+    and a solve that raises caches nothing. [trace] threads the request's
+    span context through the request: an [engine.prologue] span covers
+    validation, the cache lookup and the live-view freeze (and the whole
+    of every request that does not solve), [solve.job] is its sibling
+    around the solve itself (which threads the context on into
     {!Krsp_core.Krsp.solve}), mutations get [topo.fail] / [topo.restore] /
-    [topo.mutate] (the latter with a nested [topo.invalidate]), and the
-    job annotates the context's root span with [source]
+    [topo.mutate] (the latter with a nested [topo.invalidate]), and a
+    solve annotates the context's root span with [source]
     (cache/warm/cold/infeasible), [oracle], [donor], [rounds], [guesses]
     and any [numeric_fallbacks] delta — the facts the slow-request log
     reports. *)
@@ -129,17 +121,6 @@ val handle : t -> ?trace:Krsp_obs.Trace.ctx -> Protocol.request -> Protocol.resp
 val handle_line : t -> string -> string
 (** [print_response (handle (parse_request line))], with parse errors
     rendered as [ERR bad-request]. *)
-
-val handle_line_async :
-  t -> ?trace:Krsp_obs.Trace.ctx -> string -> [ `Reply of string | `Job of (unit -> unit -> string) ]
-(** The daemon loop's entry point. [`Reply line] is a complete response
-    (parse errors, validation errors, cache hits, PING/STATS and all
-    topology mutations — everything that must or can run on the engine's
-    domain). [`Job run] defers a solve: [run ()] may execute on any domain
-    (it only reads the frozen snapshot taken in the prologue) and yields a
-    commit closure that must be called back on the engine's domain to
-    write the cache and metrics and produce the response line. Both
-    closures are total. *)
 
 val generation : t -> int
 

@@ -11,11 +11,12 @@ let bounds =
   Array.init n_buckets (fun i ->
       if i = n_buckets - 1 then infinity else lowest *. (ratio ** float_of_int i))
 
-(* Every series carries its own mutex: observations come from pool worker
-   domains as well as the main one (speculative guess attempts, offloaded
-   krspd solves), and OCaml's memory model makes unsynchronised read-write
-   races lose increments. A per-series lock keeps contention off unrelated
-   series; the critical sections are a handful of loads and stores. *)
+(* Every series carries its own mutex: observations come from several
+   domains at once (speculative guess attempts on pool workers, krspd's
+   shard workers sharing the process-wide solver registry), and OCaml's
+   memory model makes unsynchronised read-write races lose increments. A
+   per-series lock keeps contention off unrelated series; the critical
+   sections are a handful of loads and stores. *)
 type counter = { mutable c : int; c_mu : Mutex.t }
 
 type histogram = {

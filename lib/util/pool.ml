@@ -88,7 +88,6 @@ let create ?size () =
   t
 
 let width t = t.width
-let metrics t = t.metrics
 
 let shutdown t =
   Mutex.lock t.mu;
@@ -186,24 +185,6 @@ let parallel_map ?chunk t f arr =
       Array.map
         (function Some v -> v | None -> assert false (* pending hit 0 *))
         results
-  end
-
-let parallel_for ?chunk t n f =
-  if n > 0 then
-    if serial t || n = 1 then
-      for i = 0 to n - 1 do
-        f i
-      done
-    else ignore (parallel_map ?chunk t f (Array.init n (fun i -> i)))
-
-let async t task =
-  if serial t then (try task () with _ -> ())
-  else begin
-    let wrapped () = try task () with _ -> () in
-    Mutex.lock t.mu;
-    enqueue_locked t wrapped;
-    Condition.signal t.work_cv;
-    Mutex.unlock t.mu
   end
 
 let to_kv t =

@@ -1,6 +1,6 @@
 (** A fixed pool of worker domains with a shared FIFO work queue — the
-    parallel substrate under the solver stack (parallel phase-B root
-    searches, speculative guess bisection, krspd solve offload).
+    parallel substrate under [Krsp.solve]'s speculative guess bisection,
+    the one parallel layer inside a solve.
 
     Design points:
 
@@ -14,8 +14,7 @@
     - {b Help-first waiting makes nesting safe.} A domain blocked on a
       batch drains the shared queue instead of sleeping while work is
       available, so a task may itself call {!parallel_map} on the same pool
-      (the solver does: a speculative guess attempt fans its root searches
-      out again) without deadlocking even at width 2.
+      without deadlocking even at width 2. No caller nests today.
     - {b Reuse.} Pools are meant to be long-lived — create one per process
       (or use {!default}) and share it across calls; workers park on a
       condition variable between batches.
@@ -58,28 +57,14 @@ val parallel_map : ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
     of the batch have finished — workers are never left running a stale
     batch. On a width-1 pool this is exactly [Array.map]. *)
 
-val parallel_for : ?chunk:int -> t -> int -> (int -> unit) -> unit
-(** [parallel_for pool n f] runs [f 0 .. f (n-1)] over the pool with the
-    same chunking, ordering and exception contract as {!parallel_map}. *)
-
-val async : t -> (unit -> unit) -> unit
-(** Fire-and-forget: enqueue one task and return immediately. The task's
-    exceptions are swallowed (deliver errors through your own channel — the
-    krspd completion queue does). On a width-1 pool the task runs inline
-    in the caller before [async] returns. *)
-
 val shutdown : t -> unit
 (** Drain the queue, stop and join all workers. Idempotent. Subsequent
-    [parallel_map]/[async] calls run inline (serial fallback). *)
+    {!parallel_map} calls run inline (serial fallback). *)
 
-val metrics : t -> Metrics.t
-(** The pool's counter registry: [pool.tasks] (tasks executed),
+val to_kv : t -> (string * string) list
+(** The pool's counters — [pool.tasks] (tasks executed),
     [pool.max_queue_depth] (high-water mark of the shared queue) and
     [pool.domain<i>.busy_us] (per-domain cumulative task execution time in
     microseconds; domain 0 is the calling/helping domain, 1.. are spawned
-    workers). *)
-
-val to_kv : t -> (string * string) list
-(** {!metrics} flattened via {!Metrics.to_kv}, plus the instantaneous
-    [pool.width] and [pool.queue_depth] — the shape krspd's [STATS]
-    appends. *)
+    workers) — plus the instantaneous [pool.width] and [pool.queue_depth]:
+    the shape krspd's [STATS] appends. *)

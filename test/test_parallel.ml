@@ -1,7 +1,9 @@
-(* The domain pool and the parallel solver layers: pool semantics (ordering,
-   chunking, exception propagation, nesting, serial fallback, async), the
-   engine's deferred-job protocol, and the headline determinism contract —
-   a pool of any width returns exactly the serial solver's answer. *)
+(* The domain pool and the one parallel layer inside a solve, the
+   speculative guess bisection: pool semantics (ordering, chunking,
+   exception propagation, nesting, serial fallback), a pin that the
+   speculation really runs on a wide pool, and the headline determinism
+   contract — a pool of any width returns exactly the serial solver's
+   answer. *)
 
 module G = Krsp_graph.Digraph
 module X = Krsp_util.Xoshiro
@@ -9,7 +11,6 @@ module Pool = Krsp_util.Pool
 module Instance = Krsp_core.Instance
 module Krsp = Krsp_core.Krsp
 module Scaling = Krsp_core.Scaling
-module Engine = Krsp_server.Engine
 
 let with_pool size f =
   let p = Pool.create ~size () in
@@ -32,14 +33,6 @@ let test_map_positional () =
         [ 1; 3; 64; 1024 ];
       let got = Pool.parallel_map p (fun i -> (i * i) + 1) arr in
       Alcotest.(check (array int)) "default chunk positional" expect got)
-
-let test_for_covers () =
-  with_pool 3 (fun p ->
-      let n = 100 in
-      let hits = Array.make n 0 in
-      (* each index is a distinct cell: no two tasks touch the same one *)
-      Pool.parallel_for ~chunk:7 p n (fun i -> hits.(i) <- hits.(i) + 1);
-      Alcotest.(check (array int)) "each index exactly once" (Array.make n 1) hits)
 
 exception Boom of int
 
@@ -79,31 +72,10 @@ let test_serial_fallback () =
       Alcotest.(check int) "width" 1 (Pool.width p);
       let got = Pool.parallel_map p (fun i -> i * 2) (Array.init 20 Fun.id) in
       Alcotest.(check (array int)) "map works" (Array.init 20 (fun i -> i * 2)) got;
-      let ran = ref false in
-      Pool.async p (fun () -> ran := true);
-      (* width-1 async runs inline, before returning *)
-      Alcotest.(check bool) "async inline" true !ran;
-      (* the serial paths never touch the queue: no tasks recorded *)
+      (* the serial path never touches the queue: no tasks recorded *)
       Alcotest.(check (option string))
         "no queued tasks" (Some "0")
         (List.assoc_opt "pool.tasks" (Pool.to_kv p)))
-
-let test_async_runs_on_worker () =
-  with_pool 2 (fun p ->
-      let mu = Mutex.create () in
-      let cv = Condition.create () in
-      let done_ = ref false in
-      Pool.async p (fun () ->
-          Mutex.lock mu;
-          done_ := true;
-          Condition.signal cv;
-          Mutex.unlock mu);
-      Mutex.lock mu;
-      while not !done_ do
-        Condition.wait cv mu
-      done;
-      Mutex.unlock mu;
-      Alcotest.(check bool) "async completed" true !done_)
 
 let test_shutdown_idempotent () =
   let p = Pool.create ~size:3 () in
@@ -113,8 +85,10 @@ let test_shutdown_idempotent () =
   let got = Pool.parallel_map p (fun i -> i + 1) (Array.init 5 Fun.id) in
   Alcotest.(check (array int)) "post-shutdown inline" (Array.init 5 (fun i -> i + 1)) got
 
-(* --- engine deferred jobs ---------------------------------------------------- *)
+(* --- speculative guess bisection ------------------------------------------ *)
 
+(* the diamond of test_core: min-sum takes both 2-hop routes (cost 6, delay
+   22), min-delay the lower one plus the direct edge (cost 14, delay 7) *)
 let diamond () =
   let g = G.create ~n:4 () in
   ignore (G.add_edge g ~src:0 ~dst:1 ~cost:1 ~delay:10);
@@ -124,30 +98,29 @@ let diamond () =
   ignore (G.add_edge g ~src:0 ~dst:3 ~cost:10 ~delay:5);
   g
 
-let test_engine_async_protocol () =
-  with_pool 1 (fun pool ->
-      let engine = Engine.create ~pool (diamond ()) in
-      (* cheap requests answer in the prologue *)
-      (match Engine.handle_line_async engine "PING" with
-      | `Reply r -> Alcotest.(check string) "ping inline" "PONG" r
-      | `Job _ -> Alcotest.fail "PING must not defer");
-      (* a solve defers: job then commit reproduces the synchronous line *)
-      let line = "SOLVE 0 3 2 22" in
-      ignore (Engine.handle_line engine line);
-      (* second identical request hits the cache: answered in the prologue *)
-      (match Engine.handle_line_async engine line with
-      | `Reply r ->
-        Alcotest.(check bool) "cache hit inline" true
-          (String.length r >= 6 && String.sub r 0 8 = "SOLUTION")
-      | `Job _ -> Alcotest.fail "cache hit must not defer");
-      (* different D misses: must defer, and the staged run must answer *)
-      match Engine.handle_line_async engine "SOLVE 0 3 2 23" with
-      | `Reply _ -> Alcotest.fail "cache miss must defer"
-      | `Job run ->
-        let commit = run () in
-        let r = commit () in
-        Alcotest.(check bool) "deferred solve answers" true
-          (String.length r > 0 && String.sub r 0 8 = "SOLUTION"))
+(* D = 10 rejects the min-sum start, so the guess bisection runs over
+   [6, 14]: a width-2 pool must speculate on it, a width-1 pool never *)
+let test_speculation_runs () =
+  let t = Instance.create (diamond ()) ~src:0 ~dst:3 ~k:2 ~delay_bound:10 in
+  let launched = Krsp_util.Metrics.counter Krsp.metrics "solver.spec_launched" in
+  let run w =
+    let before = Krsp_util.Metrics.value launched in
+    let result =
+      with_pool w (fun p ->
+          match Krsp.solve t ~pool:p () with
+          | Ok (sol, stats) -> (sol.Instance.cost, sol.Instance.delay, sol.Instance.paths, stats)
+          | Error _ -> Alcotest.failf "width %d: diamond at D = 10 is feasible" w)
+    in
+    (result, Krsp_util.Metrics.value launched - before)
+  in
+  let serial, serial_launched = run 1 in
+  let wide, wide_launched = run 2 in
+  let cost, delay, _, stats = serial in
+  Alcotest.(check bool) "start was infeasible" true (stats.Krsp.guesses_tried > 1);
+  Alcotest.(check (pair int int)) "cost and delay" (14, 7) (cost, delay);
+  Alcotest.(check int) "width 1 never speculates" 0 serial_launched;
+  Alcotest.(check bool) "width 2 speculates" true (wide_launched > 0);
+  Alcotest.(check bool) "answer and stats equal at widths 1 and 2" true (serial = wide)
 
 (* --- determinism across pool widths ----------------------------------------- *)
 
@@ -207,14 +180,14 @@ let scaling_width_independent =
 let suites =
   [ ( "util.pool",
       [ Alcotest.test_case "parallel_map is positional" `Quick test_map_positional;
-        Alcotest.test_case "parallel_for covers every index" `Quick test_for_covers;
         Alcotest.test_case "exception propagation" `Quick test_exception_propagation;
         Alcotest.test_case "nested batches do not deadlock" `Quick test_nested_no_deadlock;
         Alcotest.test_case "width-1 serial fallback" `Quick test_serial_fallback;
-        Alcotest.test_case "async completes on a worker" `Quick test_async_runs_on_worker;
         Alcotest.test_case "shutdown is idempotent" `Quick test_shutdown_idempotent
       ] );
-    ( "server.engine_async",
-      [ Alcotest.test_case "deferred-job protocol" `Quick test_engine_async_protocol ] );
+    ( "parallel.speculation",
+      [ Alcotest.test_case "width 2 speculates, width 1 does not" `Quick
+          test_speculation_runs
+      ] );
     ("parallel.determinism", [ solve_width_independent; scaling_width_independent ])
   ]

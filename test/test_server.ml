@@ -324,6 +324,39 @@ let test_engine_epsilon_and_qos () =
   in
   Alcotest.(check bool) "qos total within k*D" true (qos_delay <= 2 * 15)
 
+(* --- totality: an internal error is an answer, not a crash ------------------- *)
+
+exception Injected
+
+(* test_main installs the suite-wide certificate hook; put it back after *)
+let with_raising_hook f =
+  let saved = !Krsp.post_solve_hook in
+  Krsp.post_solve_hook := (fun _ _ -> raise Injected);
+  Fun.protect ~finally:(fun () -> Krsp.post_solve_hook := saved) f
+
+let expect_internal name reply =
+  match Protocol.parse_response reply with
+  | Ok (Protocol.Err (Protocol.Internal _)) -> ()
+  | _ -> Alcotest.failf "%s: expected ERR internal, got %s" name reply
+
+let expect_cold name reply =
+  match Protocol.parse_response reply with
+  | Ok (Protocol.Solution { source = Protocol.Cold; _ }) -> ()
+  | _ -> Alcotest.failf "%s: expected a cold solution, got %s" name reply
+
+let test_engine_totality () =
+  let line = "SOLVE 0 3 2 30" in
+  let engine = Engine.create (diamond ()) in
+  with_raising_hook (fun () -> expect_internal "engine" (Engine.handle_line engine line));
+  Alcotest.(check int) "nothing cached" 0 (fst (Engine.cache_occupancy engine));
+  (* no cache entry and no warm-start donor: the retry solves cold *)
+  expect_cold "engine retry" (Engine.handle_line engine line);
+  let fleet = Shard.create ~shards:1 (diamond ()) in
+  Fun.protect ~finally:(fun () -> Shard.shutdown fleet) (fun () ->
+      with_raising_hook (fun () -> expect_internal "fleet" (Shard.handle_line fleet line));
+      (* the shard's worker domain survived the failure and keeps serving *)
+      expect_cold "fleet retry" (Shard.handle_line fleet line))
+
 (* --- engine MUTATE and churn-scoped invalidation ------------------------------ *)
 
 let test_engine_mutate () =
@@ -884,7 +917,9 @@ let suites =
         Alcotest.test_case "mutate batches and scoped invalidation" `Quick
           test_engine_mutate;
         Alcotest.test_case "no stale cache hits under churn" `Quick
-          test_no_stale_cache_hits
+          test_no_stale_cache_hits;
+        Alcotest.test_case "internal errors answer and cache nothing" `Quick
+          test_engine_totality
       ] );
     ( "server.fleet",
       [ Alcotest.test_case "router determinism" `Quick test_router_determinism;
