@@ -26,6 +26,14 @@
    binding in full mode only; smoke (CI) runs the fidelity checks at tiny
    sizes where wall-clock ratios are noise.
 
+   A second part, the long stream, drives one overlay+scoped engine
+   through an insert/delete-heavy stream (1M lines; 20k in smoke mode)
+   and prints served lines/s and the edge-id count per window. Every
+   [del] leaves a dead id behind; the engine renumbers them away, so the
+   id count must stay within 2·max(64, live + failed edges) plus one
+   batch after every mutation — binding in both modes — and the per-window
+   throughput should show no downward trend.
+
    The collected numbers are exposed through {!json} so bench/main.ml can
    emit BENCH_e22.json for perf tracking across PRs. *)
 
@@ -56,6 +64,49 @@ type row = {
 
 let rows : row list ref = ref []
 
+(* one window of the long stream *)
+type window = {
+  lines_done : int;
+  w_req_per_s : float;
+  edge_ids : int;
+  live_edges : int;
+  failed_edges : int;
+}
+
+type long_stream = {
+  lines : int;
+  windows : window list;
+  max_edge_ids : int;
+  bound_violations : int;
+  renumberings : int;
+}
+
+let long : long_stream option ref = ref None
+
+let long_json () =
+  match !long with
+  | None -> []
+  | Some l ->
+    let w =
+      List.map
+        (fun w ->
+          Printf.sprintf
+            "      {\"lines\": %d, \"req_per_s\": %.0f, \"edge_ids\": %d, \"live_edges\": \
+             %d, \"failed_edges\": %d}"
+            w.lines_done w.w_req_per_s w.edge_ids w.live_edges w.failed_edges)
+        l.windows
+    in
+    [ "  \"long_stream\": {";
+      Printf.sprintf "    \"lines\": %d," l.lines;
+      Printf.sprintf "    \"max_edge_ids\": %d," l.max_edge_ids;
+      Printf.sprintf "    \"bound_violations\": %d," l.bound_violations;
+      Printf.sprintf "    \"renumberings\": %d," l.renumberings;
+      "    \"windows\": [";
+      String.concat ",\n" w;
+      "    ]";
+      "  },"
+    ]
+
 let json () =
   let fields =
     List.map
@@ -69,15 +120,13 @@ let json () =
       (List.rev !rows)
   in
   String.concat "\n"
-    [ "{";
-      "  \"experiment\": \"e22\",";
-      Printf.sprintf "  \"smoke\": %b," smoke;
-      Printf.sprintf "  \"wrong_answers\": %d," !wrong;
-      "  \"legs\": [";
-      String.concat ",\n" fields;
-      "  ]";
-      "}"; ""
-    ]
+    ([ "{";
+       "  \"experiment\": \"e22\",";
+       Printf.sprintf "  \"smoke\": %b," smoke;
+       Printf.sprintf "  \"wrong_answers\": %d," !wrong
+     ]
+    @ long_json ()
+    @ [ "  \"legs\": ["; String.concat ",\n" fields; "  ]"; "}"; "" ])
 
 (* --- workload ------------------------------------------------------------------ *)
 
@@ -208,6 +257,135 @@ let replay g workload ~churn_pct ~topology ~invalidation tweak =
   rows := row :: !rows;
   (ms, answers, row)
 
+(* --- long stream: the edge-id count under insert/delete churn -------------------- *)
+
+(* Requests for [count] slots: SOLVEs over a few hot keys, with one slot in
+   eight a topology event — an [ins] of a link with no live edge, or a
+   [del] closing the oldest open one (always once 16 are open) — and now
+   and then a FAIL of a base link, RESTOREd a few thousand slots later.
+   [live] tracks the directed pairs with a live edge, so no insert
+   duplicates one. *)
+let long_requests rng ~n ~base_links ~live ~open_links ~failed ~bounds count =
+  Array.init count (fun _ ->
+      let r = X.int rng 100 in
+      if r < 12 then begin
+        let full = Queue.length open_links >= 16 in
+        if full || (Queue.length open_links > 0 && X.int rng 4 = 0) then begin
+          let u, v = Queue.pop open_links in
+          Hashtbl.remove live (u, v);
+          Protocol.Mutate { ops = [ Protocol.Del { u; v } ] }
+        end
+        else begin
+          let u = X.int rng n and v = X.int rng n in
+          if u = v || Hashtbl.mem live (u, v) then Protocol.Ping
+          else begin
+            Hashtbl.replace live (u, v) ();
+            Queue.push (u, v) open_links;
+            Protocol.Mutate
+              { ops = [ Protocol.Ins { u; v; cost = 1 + X.int rng 8; delay = 1 + X.int rng 5 } ] }
+          end
+        end
+      end
+      else if r = 12 && X.int rng 20 = 0 then begin
+        match !failed with
+        | Some (u, v) ->
+          failed := None;
+          Protocol.Restore { u; v }
+        | None ->
+          let u, v = X.pick rng base_links in
+          failed := Some (u, v);
+          Protocol.Fail { u; v }
+      end
+      else
+        let k = 1 + X.int rng 2 in
+        let delay_bound = bounds.(X.int rng (Array.length bounds)) in
+        Protocol.Solve { src = 0; dst = n - 1; k; delay_bound; epsilon = None })
+
+let run_long_stream g =
+  let lines, window = if smoke then (20_000, 2_000) else (1_000_000, 100_000) in
+  note "\nlong stream: one overlay+scoped engine, %d lines, windows of %d\n" lines window;
+  let rng = X.create ~seed:2216 in
+  let n = G.n g in
+  let total = G.total_delay g in
+  let bounds = [| total + 1; max 1 (total / 2); max 1 (total / 4) |] in
+  let live = Hashtbl.create 256 in
+  G.iter_edges g (fun e -> Hashtbl.replace live (G.src g e, G.dst g e) ());
+  let base_links =
+    Array.of_list
+      (List.filter_map
+         (fun e -> if G.src g e < G.dst g e then Some (G.src g e, G.dst g e) else None)
+         (G.edges g))
+  in
+  let open_links = Queue.create () and failed = ref None in
+  let engine =
+    Engine.create ~config:{ Engine.default_config with Engine.max_iterations = 300 } (G.copy g)
+  in
+  let graph = Engine.live_graph engine in
+  let violations = ref 0 and max_ids = ref 0 and windows = ref [] in
+  let table =
+    Table.create
+      ~columns:
+        [ ("lines", Table.Right); ("lines/s", Table.Right); ("edge ids", Table.Right);
+          ("live", Table.Right); ("failed", Table.Right)
+        ]
+  in
+  let served = ref 0 in
+  while !served < lines do
+    let batch =
+      long_requests rng ~n ~base_links ~live ~open_links ~failed ~bounds
+        (min window (lines - !served))
+    in
+    let ms = ref 0. in
+    Array.iter
+      (fun request ->
+        let t0 = Timer.now_ms () in
+        ignore (Engine.handle engine request);
+        ms := !ms +. (Timer.now_ms () -. t0);
+        (* each MUTATE is one op here, so one batch is one edge id *)
+        let ids = G.m graph in
+        max_ids := max !max_ids ids;
+        if ids > (2 * max 64 (G.m_alive graph + Engine.failed_edges engine)) + 1 then begin
+          incr violations;
+          if !violations = 1 then
+            flag_wrong
+              (Printf.sprintf "long stream: %d edge ids with %d live and %d failed" ids
+                 (G.m_alive graph) (Engine.failed_edges engine))
+        end)
+      batch;
+    served := !served + Array.length batch;
+    let w =
+      {
+        lines_done = !served;
+        w_req_per_s =
+          (if !ms > 0. then float_of_int (Array.length batch) /. (!ms /. 1000.) else 0.);
+        edge_ids = G.m graph;
+        live_edges = G.m_alive graph;
+        failed_edges = Engine.failed_edges engine;
+      }
+    in
+    windows := w :: !windows;
+    Table.add_row table
+      [ string_of_int w.lines_done; Printf.sprintf "%.0f" w.w_req_per_s; string_of_int w.edge_ids;
+        string_of_int w.live_edges; string_of_int w.failed_edges
+      ]
+  done;
+  Table.print table;
+  let renumberings = counter_value engine "topo.renumberings" in
+  let stale = counter_value engine "topo.stale_hits_dropped" in
+  if stale > 0 then
+    flag_wrong (Printf.sprintf "long stream: stale-hit guard fired %d time(s)" stale);
+  note "long stream: max %d edge ids, %d renumbering(s), %d bound violation(s)\n" !max_ids
+    renumberings !violations;
+  long :=
+    Some
+      {
+        lines;
+        windows = List.rev !windows;
+        max_edge_ids = !max_ids;
+        bound_violations = !violations;
+        renumberings;
+      }
+
 (* --- experiment ----------------------------------------------------------------- *)
 
 let run () =
@@ -281,6 +459,7 @@ let run () =
           (Printf.sprintf "no speedup at %d%% churn (%.2fx) — the overlay does not pay"
              churn_pct s))
     (List.rev !speedups);
+  run_long_stream g;
   if !wrong > 0 then begin
     note "\nE22: %d WRONG line(s)\n" !wrong;
     exit 1

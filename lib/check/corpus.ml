@@ -73,13 +73,16 @@ let churn_to_string ?comment (graph, trace) =
         Buffer.add_string b (Printf.sprintf "s %d %d %d %d\n" src dst k delay_bound)
       | Differential.C_batch ms ->
         Buffer.add_string b
-          (Printf.sprintf "m %s\n" (String.concat " " (List.map mutation_to_string ms))))
+          (Printf.sprintf "m %s\n" (String.concat " " (List.map mutation_to_string ms)))
+      | Differential.C_renumber -> Buffer.add_string b "r\n")
     trace;
   Buffer.contents b
 
 let churn_of_string text =
   let lines = String.split_on_char '\n' text in
-  let is_trace l = String.length l > 1 && (l.[0] = 's' || l.[0] = 'm') && l.[1] = ' ' in
+  let is_trace l =
+    l = "r" || (String.length l > 1 && (l.[0] = 's' || l.[0] = 'm') && l.[1] = ' ')
+  in
   let graph =
     Io.of_edge_list (String.concat "\n" (List.filter (fun l -> not (is_trace l)) lines))
   in
@@ -87,6 +90,7 @@ let churn_of_string text =
     List.filter_map
       (fun line ->
         if not (is_trace line) then None
+        else if line = "r" then Some Differential.C_renumber
         else if line.[0] = 's' then (
           match
             Scanf.sscanf_opt line "s %d %d %d %d" (fun src dst k delay_bound ->
@@ -111,7 +115,7 @@ let churn_of_string text =
           Some (Differential.C_batch ms))
       lines
   in
-  if trace = [] then failwith "corpus: churn trace has no s/m lines";
+  if trace = [] then failwith "corpus: churn trace has no s/m/r lines";
   (graph, trace)
 
 let save_churn path ?comment t = Io.write_file path (churn_to_string ?comment t)

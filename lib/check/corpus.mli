@@ -42,6 +42,7 @@ val load_dir : string -> (string * Instance.t) list
       ...
       s <src> <dst> <k> <delay-bound>
       m <op> [<op> ...]     op := del:<e> | res:<e> | ins:<u>:<v>:<c>:<d> | rew:<e>:<c>:<d>
+      r                     renumber: drop the dead edge ids
     v}
 
     Shrunk churn disagreements are saved in this format under

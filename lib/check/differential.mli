@@ -25,12 +25,18 @@
 
     {!churn} adds the dynamic-topology axis: an interleaved mutate/solve
     trace is replayed against two replicas of the same mutating graph —
-    one absorbing mutations through the delta-overlay freeze path, one
-    forced to fully rebuild its CSR view before every solve. The overlay
-    is specified to be bit-indistinguishable from a refreeze, so at every
-    solve step the two replicas must agree {e bit-identically} (cost,
-    delay and the path multiset), at both pool widths, and each witness
-    must certify against the topology it was solved against.
+    one absorbing mutations through the delta-overlay freeze path and
+    renumbered at the trace's renumber steps, one forced to fully rebuild
+    its CSR view before every solve and never renumbered. The overlay is
+    specified to be indistinguishable from a refreeze and a renumbering
+    keeps every row's order, so at every solve step the two replicas must
+    agree on the verdict, the cost, the delay and the edge set (mapped
+    back to the trace's ids), at both pool widths, and each witness must
+    certify against the topology it was solved against. Until the first
+    renumber step the path multisets must match bit for bit as well;
+    after it they are not compared: [Residual.apply_cycle] hands the
+    decomposition its edges in hash-table order over the ids, so
+    renumbered ids can split the same edge set into other paths.
 
     Every function returns the list of mismatches found ([[]] = all
     equivalent); a mismatch message names the axis and the witness. *)
@@ -57,6 +63,10 @@ type mutation =
 type churn_op =
   | C_solve of { src : int; dst : int; k : int; delay_bound : int }
   | C_batch of mutation list  (** applied as one batch, like one MUTATE line *)
+  | C_renumber
+      (** renumber the incremental replica's ids, dropping every dead one
+          ({!Krsp_graph.Digraph.renumber}); trace ids keep naming edges in
+          the unrenumbered numbering, and a dropped edge stays dead *)
 
 val apply_mutation : Krsp_graph.Digraph.t -> mutation -> unit
 (** The replay semantics of one {!mutation} (shared with the fuzz
@@ -65,7 +75,9 @@ val apply_mutation : Krsp_graph.Digraph.t -> mutation -> unit
 val churn :
   ?level:Check.level -> ?w1:int -> ?w2:int -> Krsp_graph.Digraph.t -> churn_op list -> string list
 (** [churn base trace] copies [base] twice and replays [trace]:
-    [C_batch] mutates both replicas in lockstep, [C_solve] freezes the
+    [C_batch] mutates both replicas in lockstep, [C_renumber] renumbers
+    the incremental replica (the harness maps every later trace id and
+    answer through the composed tables), [C_solve] freezes the
     incremental replica (delta overlay), rebuilds the refreeze replica,
     solves on both at widths [w1] (default 1) and [w2] (default 4) and
     compares as described above. Solve steps with invalid parameters are

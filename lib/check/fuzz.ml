@@ -294,7 +294,8 @@ let gen_trace rng g =
   let total = G.total_delay g in
   let bounds = [| total + 1; max 1 (total / 2); max 1 (total / 4) |] in
   List.init len (fun _ ->
-      if Xoshiro.int rng 5 < 3 then begin
+      let r = Xoshiro.int rng 10 in
+      if r < 6 then begin
         let src, dst =
           if Xoshiro.int rng 4 = 0 then (Xoshiro.int rng n, Xoshiro.int rng n) else (0, n - 1)
         in
@@ -306,9 +307,10 @@ let gen_trace rng g =
             delay_bound = bounds.(Xoshiro.int rng (Array.length bounds));
           }
       end
-      else
+      else if r < 9 then
         Differential.C_batch
-          (List.init (Xoshiro.int_in rng 1 3) (fun _ -> gen_mutation rng g)))
+          (List.init (Xoshiro.int_in rng 1 3) (fun _ -> gen_mutation rng g))
+      else Differential.C_renumber)
 
 (* The stale-entry planted bug: replay the trace against one mutating
    replica with a query cache that is never invalidated, and serve every
@@ -326,6 +328,9 @@ let stale_replay ~level base trace =
       incr step;
       match op with
       | Differential.C_batch ms -> List.iter (Differential.apply_mutation g) ms
+      (* the lone replica plays the unrenumbered reference: trace ids name
+         its edges throughout *)
+      | Differential.C_renumber -> ()
       | Differential.C_solve { src; dst; k; delay_bound } ->
         if
           src >= 0 && src < G.n g && dst >= 0 && dst < G.n g && src <> dst && k >= 1
@@ -410,7 +415,8 @@ let run_churn ?(level = Check.Structural) ?(inject = Churn_clean) ?(count = 30)
     List.iter
       (function
         | Differential.C_solve _ -> incr solves
-        | Differential.C_batch ms -> mutations := !mutations + List.length ms)
+        | Differential.C_batch ms -> mutations := !mutations + List.length ms
+        | Differential.C_renumber -> ())
       trace;
     match run_churn_trace ~level ~inject g trace with
     | [] -> ()

@@ -32,9 +32,6 @@ let is_feasible t s = is_structurally_valid t s.paths && s.delay <= t.delay_boun
 
 let edge_set s = List.concat s.paths
 
-let connectivity_ok t =
-  Krsp_graph.Bfs.edge_connectivity_at_least t.graph ~src:t.src ~dst:t.dst ~k:t.k
-
 let min_possible_delay t =
   Option.map
     (fun r -> r.Krsp_flow.Mcmf.cost)

@@ -38,12 +38,10 @@ val is_feasible : t -> solution -> bool
 val edge_set : solution -> Krsp_graph.Digraph.edge list
 (** All edges of the solution, concatenated. *)
 
-val connectivity_ok : t -> bool
-(** True iff the graph carries [k] edge-disjoint [src→dst] paths at all. *)
-
 val min_possible_delay : t -> int option
 (** The smallest achievable total delay over any [k] disjoint paths
-    (min-delay [k]-flow); [None] when {!connectivity_ok} fails. An instance
-    is feasible iff this is [Some d] with [d ≤ delay_bound]. *)
+    (min-delay [k]-flow); [None] when the graph does not carry [k]
+    edge-disjoint [src→dst] paths. An instance is feasible iff this is
+    [Some d] with [d ≤ delay_bound]. *)
 
 val pp_solution : t -> Format.formatter -> solution -> unit

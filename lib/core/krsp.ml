@@ -297,236 +297,251 @@ let solve_impl t ?trace ?(engine = Dp) ?(exhaustive = false) ?(phase1 = Phase1.M
     ?numeric ?rsp_oracle ?(k1_oracle = true) ?(max_iterations = 2_000) ?(guess_steps = 12)
     ?warm_start ?pool () =
   let pool = match pool with Some p -> p | None -> Krsp_util.Pool.default () in
-  if not (Instance.connectivity_ok t) then Error No_k_disjoint_paths
-  else begin
-    match Instance.min_possible_delay t with
-    | None -> Error No_k_disjoint_paths
-    | Some dmin when dmin > t.Instance.delay_bound -> Error (Delay_bound_unreachable dmin)
-    | Some _ ->
-      (* the min-delay solution is feasible: fallback and C_OPT upper bound *)
-      let fallback =
-        Trace.with_span trace "solve.min_delay_bound" (fun () ->
-            match Phase1.min_delay t with
-            | Phase1.Start s -> Instance.solution_of_paths t s.Phase1.paths
-            | Phase1.No_k_paths | Phase1.Lp_infeasible -> assert false)
-      in
-      let warm =
-        match warm_start with
-        | None -> None
-        | Some prev -> Trace.with_span trace "solve.warm_repair" (fun () -> repair t ~paths:prev)
-      in
-      let start =
-        match warm with
-        | Some paths -> paths
-        | None ->
-          Trace.with_span trace "solve.phase1" (fun () ->
-              match Phase1.run ?numeric ?rsp_oracle phase1 t with
-              | Phase1.Start s -> s.Phase1.paths
-              | Phase1.No_k_paths -> assert false (* connectivity checked above *)
-              | Phase1.Lp_infeasible -> assert false (* dmin <= bound above *))
-      in
-      let warm_started = warm <> None in
-      let start_sol = Instance.solution_of_paths t start in
-      if start_sol.Instance.delay <= t.Instance.delay_bound then
-        (* start already feasible; with the cold min-sum start this is exact,
-           with a warm start it is the repaired previous solution as-is *)
-        Ok
-          ( start_sol,
-            {
-              iterations = 0;
-              type0 = 0;
-              type1 = 0;
-              type2 = 0;
-              guesses_tried = 0;
-              final_guess = 0;
-              used_fallback = false;
-              warm_started;
-            } )
-      else if t.Instance.k = 1 && k1_oracle then begin
-        (* k = 1 IS the single restricted shortest path: one oracle call
-           replaces the entire guess bisection (each of whose attempts is
-           itself a cancellation run). The answer is certificate-gated —
-           an invalid or bound-violating path (impossible for the shipped
-           engines, but the gate is what makes the oracle swappable) falls
-           back to the exact DP, which must succeed since dmin ≤ D. *)
-        let g = t.Instance.graph in
-        let src = t.Instance.src and dst = t.Instance.dst in
-        let oracle_sol =
-          match
-            Krsp_rsp.Oracle.solve ?trace ?kind:rsp_oracle ?tier:numeric g ~src ~dst
-              ~delay_bound:t.Instance.delay_bound
-          with
-          | Some r
-            when Path.is_valid g ~src ~dst r.Krsp_rsp.Rsp_engine.path
-                 && r.Krsp_rsp.Rsp_engine.delay <= t.Instance.delay_bound ->
-            Krsp_rsp.Rsp_engine.count_gate_pass ();
-            Some (Instance.solution_of_paths t [ r.Krsp_rsp.Rsp_engine.path ])
-          | _ ->
-            Krsp_rsp.Rsp_engine.count_gate_fallback ();
-            (match
-               Trace.with_span trace "oracle.gate_fallback" (fun () ->
-                   Krsp_rsp.Rsp_dp.solve ?tier:numeric g ~src ~dst
-                     ~delay_bound:t.Instance.delay_bound)
-             with
-            | Some (_, p) -> Some (Instance.solution_of_paths t [ p ])
-            | None -> None)
-        in
-        (* the min-delay fallback is feasible too — never return worse *)
-        let sol, used_fallback =
-          match oracle_sol with
-          | Some s when s.Instance.cost <= fallback.Instance.cost -> (s, false)
-          | Some _ -> (fallback, false)
-          | None -> (fallback, true)
-        in
-        Ok
-          ( sol,
-            {
-              iterations = 0;
-              type0 = 0;
-              type1 = 0;
-              type2 = 0;
-              guesses_tried = 1;
-              final_guess = sol.Instance.cost;
-              used_fallback;
-              warm_started;
-            } )
-      end
-      else begin
-        let lo0 = max 1 start_sol.Instance.cost in
-        let hi0 = max lo0 fallback.Instance.cost in
-        (* one doubled residual graph for the whole guess search: every
-           attempt's rounds refill its masks instead of building graphs. A
-           speculative attempt runs concurrently with the committed one, so
-           it masks its own second arena (built lazily, only once the first
-           speculation actually launches). *)
-        let arena = Residual.arena t.Instance.graph in
-        let spec_arena = lazy (Residual.arena t.Instance.graph) in
-        (* binary search the smallest successful guess; remember the best
-           verified solution seen *)
-        let best = ref None in
-        let iters = ref 0 and t0s = ref 0 and t1s = ref 0 and t2s = ref 0 in
-        let tried = ref 0 in
-        (* Span per attempt, speculative ones flagged: a traced flamegraph
-           shows both bisection branches running side by side on their
-           lanes, with the per-round spans nested underneath. *)
-        let attempt_pure ?(spec = false) ~arena guess =
-          Trace.with_span
-            ~args:[ ("guess", string_of_int guess); ("spec", string_of_bool spec) ]
-            trace "solve.guess"
-            (fun () ->
-              improve t ~start ~guess ?trace ~engine ~exhaustive ?numeric ~max_iterations
-                ~arena ())
-        in
-        (* Folding an attempt's outcome into the stats and [best] is kept
-           separate from running it: speculative attempts are only committed
-           when the bisection really reaches their guess, so the committed
-           sequence — and with it [best], the iteration totals and the
-           returned solution — is identical to the serial search's at any
-           pool width. Discarded speculations leave no trace beyond the
-           [solver.spec_*] counters. *)
-        let commit guess result =
-          incr tried;
-          match result with
-          | None -> None
-          | Some (sol, it, a, b, c) ->
-            iters := !iters + it;
-            t0s := !t0s + a;
-            t1s := !t1s + b;
-            t2s := !t2s + c;
-            assert (Instance.is_feasible t sol);
-            (match !best with
-            | Some (bs, _) when bs.Instance.cost <= sol.Instance.cost -> ()
-            | _ -> best := Some (sol, guess));
-            Some sol
-        in
-        let next_mid lo hi = lo + ((hi - lo) / 2) in
-        let speculate = Krsp_util.Pool.width pool > 1 in
-        (* evaluate [guess]; when a flanking guess is supplied and the pool
-           is real, run both concurrently and hand the flank's result back
-           uncommitted *)
-        let eval guess flank =
-          match flank with
-          | Some fg when speculate && fg <> guess ->
-            Metrics.incr c_spec_launched;
-            let rs =
-              Krsp_util.Pool.parallel_map ~chunk:1 pool
-                (fun (g, spec) ->
-                  attempt_pure ~spec ~arena:(if spec then Lazy.force spec_arena else arena) g)
-                [| (guess, false); (fg, true) |]
-            in
-            (rs.(0), Some (fg, rs.(1)))
-          | _ -> (attempt_pure ~arena guess, None)
-        in
-        let discard = function
-          | Some _ -> Metrics.incr c_spec_wasted
-          | None -> ()
-        in
-        (* always try the upper bound first: guaranteed >= C_OPT. Its
-           flanking speculation is the bisection's first midpoint. *)
-        let first_mid = if guess_steps > 0 && lo0 < hi0 then Some (next_mid lo0 hi0) else None in
-        let r_hi, cache0 = eval hi0 first_mid in
-        let hi_ok = commit hi0 r_hi <> None in
-        if hi_ok then begin
-          let rec bisect lo hi steps cache =
-            (* invariant: [hi] succeeded, [lo - 1] region unexplored;
-               [cache] holds an uncommitted speculative result *)
-            if steps <= 0 || lo >= hi then discard cache
-            else begin
-              let mid = next_mid lo hi in
-              let result, cache' =
-                match cache with
-                | Some (g, r) when g = mid ->
-                  Metrics.incr c_spec_hits;
-                  (r, None)
-                | _ ->
-                  discard cache;
-                  (* speculate on the success branch: if [mid] works the
-                     next midpoint shrinks the interval to [lo, mid] *)
-                  let flank =
-                    if steps > 1 && lo < mid then Some (next_mid lo mid) else None
-                  in
-                  eval mid flank
-              in
-              match commit mid result with
-              | Some _ -> bisect lo mid (steps - 1) cache'
-              | None ->
-                discard cache';
-                bisect (mid + 1) hi (steps - 1) None
-            end
+  (* The start comes first: k disjoint paths in hand prove the instance
+     connected enough, and a start that meets D is the answer. A failed
+     min-cost flow is exactly the lack of k disjoint paths (MCMF on unit
+     capacities ships k units iff k edge-disjoint paths exist). *)
+  let warm =
+    match warm_start with
+    | None -> None
+    | Some prev -> Trace.with_span trace "solve.warm_repair" (fun () -> repair t ~paths:prev)
+  in
+  let warm_started = warm <> None in
+  let start =
+    match warm with
+    | Some paths -> `Paths paths
+    | None ->
+      Trace.with_span trace "solve.phase1" (fun () ->
+          match Phase1.run ?numeric ?rsp_oracle phase1 t with
+          | Phase1.Start s -> `Paths s.Phase1.paths
+          | Phase1.No_k_paths -> `No_k_paths
+          | Phase1.Lp_infeasible -> `Lp_infeasible)
+  in
+  (* Only a start over D needs more: one min-delay k-flow both decides
+     [Delay_bound_unreachable dmin] (its delay is dmin) and, when D is
+     reachable, is the certified-feasible fallback and C_OPT upper bound. *)
+  let min_delay_bound () =
+    Trace.with_span trace "solve.min_delay_bound" (fun () ->
+        match Phase1.min_delay t with
+        | Phase1.Start s when s.Phase1.delay > t.Instance.delay_bound ->
+          Error (Delay_bound_unreachable s.Phase1.delay)
+        | Phase1.Start s -> Ok (Instance.solution_of_paths t s.Phase1.paths)
+        | Phase1.No_k_paths | Phase1.Lp_infeasible -> Error No_k_disjoint_paths)
+  in
+  (* a start that meets D is returned unchanged; with the cold min-sum
+     start this is exact, with a warm start it is the repaired previous
+     solution as-is *)
+  let as_is sol =
+    Ok
+      ( sol,
+        {
+          iterations = 0;
+          type0 = 0;
+          type1 = 0;
+          type2 = 0;
+          guesses_tried = 0;
+          final_guess = 0;
+          used_fallback = false;
+          warm_started;
+        } )
+  in
+  match start with
+  | `No_k_paths -> Error No_k_disjoint_paths
+  | `Lp_infeasible ->
+    (* the delay-budgeted LP is infeasible iff dmin > D; the exact flow
+       names the verdict and its payload *)
+    Result.bind (min_delay_bound ()) as_is
+  | `Paths start -> (
+    let start_sol = Instance.solution_of_paths t start in
+    if start_sol.Instance.delay <= t.Instance.delay_bound then as_is start_sol
+    else
+      match min_delay_bound () with
+      | Error e -> Error e
+      | Ok fallback ->
+        if t.Instance.k = 1 && k1_oracle then begin
+          (* k = 1 IS the single restricted shortest path: one oracle call
+             replaces the entire guess bisection (each of whose attempts is
+             itself a cancellation run). The answer is certificate-gated —
+             an invalid or bound-violating path (impossible for the shipped
+             engines, but the gate is what makes the oracle swappable) falls
+             back to the exact DP, which must succeed since dmin ≤ D. *)
+          let g = t.Instance.graph in
+          let src = t.Instance.src and dst = t.Instance.dst in
+          let oracle_sol =
+            match
+              Krsp_rsp.Oracle.solve ?trace ?kind:rsp_oracle ?tier:numeric g ~src ~dst
+                ~delay_bound:t.Instance.delay_bound
+            with
+            | Some r
+              when Path.is_valid g ~src ~dst r.Krsp_rsp.Rsp_engine.path
+                   && r.Krsp_rsp.Rsp_engine.delay <= t.Instance.delay_bound ->
+              Krsp_rsp.Rsp_engine.count_gate_pass ();
+              Some (Instance.solution_of_paths t [ r.Krsp_rsp.Rsp_engine.path ])
+            | _ ->
+              Krsp_rsp.Rsp_engine.count_gate_fallback ();
+              (match
+                 Trace.with_span trace "oracle.gate_fallback" (fun () ->
+                     Krsp_rsp.Rsp_dp.solve ?tier:numeric g ~src ~dst
+                       ~delay_bound:t.Instance.delay_bound)
+               with
+              | Some (_, p) -> Some (Instance.solution_of_paths t [ p ])
+              | None -> None)
           in
-          bisect lo0 hi0 guess_steps cache0
-        end
-        else discard cache0;
-        match !best with
-        | Some (sol, guess) ->
+          (* the min-delay fallback is feasible too — never return worse *)
+          let sol, used_fallback =
+            match oracle_sol with
+            | Some s when s.Instance.cost <= fallback.Instance.cost -> (s, false)
+            | Some _ -> (fallback, false)
+            | None -> (fallback, true)
+          in
           Ok
             ( sol,
               {
-                iterations = !iters;
-                type0 = !t0s;
-                type1 = !t1s;
-                type2 = !t2s;
-                guesses_tried = !tried;
-                final_guess = guess;
-                used_fallback = false;
+                iterations = 0;
+                type0 = 0;
+                type1 = 0;
+                type2 = 0;
+                guesses_tried = 1;
+                final_guess = sol.Instance.cost;
+                used_fallback;
                 warm_started;
               } )
-        | None ->
-          L.warn (fun m -> m "all guesses failed; returning min-delay fallback");
-          Ok
-            ( fallback,
-              {
-                iterations = !iters;
-                type0 = !t0s;
-                type1 = !t1s;
-                type2 = !t2s;
-                guesses_tried = !tried;
-                final_guess = hi0;
-                used_fallback = true;
-                warm_started;
-              } )
-      end
-  end
+        end
+        else begin
+          let lo0 = max 1 start_sol.Instance.cost in
+          let hi0 = max lo0 fallback.Instance.cost in
+          (* one doubled residual graph for the whole guess search: every
+             attempt's rounds refill its masks instead of building graphs. A
+             speculative attempt runs concurrently with the committed one, so
+             it masks its own second arena (built lazily, only once the first
+             speculation actually launches). *)
+          let arena = Residual.arena t.Instance.graph in
+          let spec_arena = lazy (Residual.arena t.Instance.graph) in
+          (* binary search the smallest successful guess; remember the best
+             verified solution seen *)
+          let best = ref None in
+          let iters = ref 0 and t0s = ref 0 and t1s = ref 0 and t2s = ref 0 in
+          let tried = ref 0 in
+          (* Span per attempt, speculative ones flagged: a traced flamegraph
+             shows both bisection branches running side by side on their
+             lanes, with the per-round spans nested underneath. *)
+          let attempt_pure ?(spec = false) ~arena guess =
+            Trace.with_span
+              ~args:[ ("guess", string_of_int guess); ("spec", string_of_bool spec) ]
+              trace "solve.guess"
+              (fun () ->
+                improve t ~start ~guess ?trace ~engine ~exhaustive ?numeric ~max_iterations
+                  ~arena ())
+          in
+          (* Folding an attempt's outcome into the stats and [best] is kept
+             separate from running it: speculative attempts are only committed
+             when the bisection really reaches their guess, so the committed
+             sequence — and with it [best], the iteration totals and the
+             returned solution — is identical to the serial search's at any
+             pool width. Discarded speculations leave no trace beyond the
+             [solver.spec_*] counters. *)
+          let commit guess result =
+            incr tried;
+            match result with
+            | None -> None
+            | Some (sol, it, a, b, c) ->
+              iters := !iters + it;
+              t0s := !t0s + a;
+              t1s := !t1s + b;
+              t2s := !t2s + c;
+              assert (Instance.is_feasible t sol);
+              (match !best with
+              | Some (bs, _) when bs.Instance.cost <= sol.Instance.cost -> ()
+              | _ -> best := Some (sol, guess));
+              Some sol
+          in
+          let next_mid lo hi = lo + ((hi - lo) / 2) in
+          let speculate = Krsp_util.Pool.width pool > 1 in
+          (* evaluate [guess]; when a flanking guess is supplied and the pool
+             is real, run both concurrently and hand the flank's result back
+             uncommitted *)
+          let eval guess flank =
+            match flank with
+            | Some fg when speculate && fg <> guess ->
+              Metrics.incr c_spec_launched;
+              let rs =
+                Krsp_util.Pool.parallel_map ~chunk:1 pool
+                  (fun (g, spec) ->
+                    attempt_pure ~spec ~arena:(if spec then Lazy.force spec_arena else arena) g)
+                  [| (guess, false); (fg, true) |]
+              in
+              (rs.(0), Some (fg, rs.(1)))
+            | _ -> (attempt_pure ~arena guess, None)
+          in
+          let discard = function
+            | Some _ -> Metrics.incr c_spec_wasted
+            | None -> ()
+          in
+          (* always try the upper bound first: guaranteed >= C_OPT. Its
+             flanking speculation is the bisection's first midpoint. *)
+          let first_mid = if guess_steps > 0 && lo0 < hi0 then Some (next_mid lo0 hi0) else None in
+          let r_hi, cache0 = eval hi0 first_mid in
+          let hi_ok = commit hi0 r_hi <> None in
+          if hi_ok then begin
+            let rec bisect lo hi steps cache =
+              (* invariant: [hi] succeeded, [lo - 1] region unexplored;
+                 [cache] holds an uncommitted speculative result *)
+              if steps <= 0 || lo >= hi then discard cache
+              else begin
+                let mid = next_mid lo hi in
+                let result, cache' =
+                  match cache with
+                  | Some (g, r) when g = mid ->
+                    Metrics.incr c_spec_hits;
+                    (r, None)
+                  | _ ->
+                    discard cache;
+                    (* speculate on the success branch: if [mid] works the
+                       next midpoint shrinks the interval to [lo, mid] *)
+                    let flank =
+                      if steps > 1 && lo < mid then Some (next_mid lo mid) else None
+                    in
+                    eval mid flank
+                in
+                match commit mid result with
+                | Some _ -> bisect lo mid (steps - 1) cache'
+                | None ->
+                  discard cache';
+                  bisect (mid + 1) hi (steps - 1) None
+              end
+            in
+            bisect lo0 hi0 guess_steps cache0
+          end
+          else discard cache0;
+          match !best with
+          | Some (sol, guess) ->
+            Ok
+              ( sol,
+                {
+                  iterations = !iters;
+                  type0 = !t0s;
+                  type1 = !t1s;
+                  type2 = !t2s;
+                  guesses_tried = !tried;
+                  final_guess = guess;
+                  used_fallback = false;
+                  warm_started;
+                } )
+          | None ->
+            L.warn (fun m -> m "all guesses failed; returning min-delay fallback");
+            Ok
+              ( fallback,
+                {
+                  iterations = !iters;
+                  type0 = !t0s;
+                  type1 = !t1s;
+                  type2 = !t2s;
+                  guesses_tried = !tried;
+                  final_guess = hi0;
+                  used_fallback = true;
+                  warm_started;
+                } )
+        end)
 
 (* Every Ok the pipeline produces — early feasible start, guess-search best,
    min-delay fallback — passes through here, so an installed hook (see

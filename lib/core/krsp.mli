@@ -35,8 +35,17 @@ type stats = {
 
 type error =
   | No_k_disjoint_paths
+      (** the graph carries fewer than [k] edge-disjoint [src→dst] paths *)
   | Delay_bound_unreachable of int
       (** instance infeasible; payload is the minimum achievable total delay *)
+(** When {!solve} decides each: it takes its start first (a repaired
+    [warm_start], else phase 1). A phase 1 whose min-cost flow cannot ship
+    [k] units answers [No_k_disjoint_paths] at once — on unit capacities
+    that is exactly the lack of [k] disjoint paths. A start that meets [D]
+    is returned as-is; only a start over [D] (or an infeasible
+    [Lp_rounding] LP) makes the solve run the min-delay [k]-flow, whose
+    delay is dmin: over [D] it answers [Delay_bound_unreachable dmin],
+    otherwise it becomes the fallback. No other check runs. *)
 
 type outcome = (Instance.solution * stats, error) Stdlib.result
 
@@ -121,8 +130,9 @@ val solve :
   ?pool:Krsp_util.Pool.t ->
   unit ->
   outcome
-(** Full pipeline: feasibility checks, phase 1, guess search over Algorithm 1,
-    fallback. [guess_steps] bounds the binary-search depth (default 12).
+(** Full pipeline: phase 1 (or the warm repair), the feasibility verdicts
+    (see {!error}), guess search over Algorithm 1, fallback.
+    [guess_steps] bounds the binary-search depth (default 12).
     [max_iterations] caps each inner loop (default 2_000). [exhaustive]
     makes every bicameral search scan all roots and pick the globally best
     cycle instead of stopping at the first productive root (the quality/time
@@ -161,8 +171,10 @@ val solve :
     touches no LP at all.
 
     [trace], when given, closes phase-attributed spans into the request's
-    trace context as the solve proceeds: [solve.min_delay_bound],
-    [solve.warm_repair], [solve.phase1], [solve.guess] per bisection
+    trace context as the solve proceeds: [solve.warm_repair] or
+    [solve.phase1] first, [solve.min_delay_bound] only when the start is
+    over D (the min-delay flow that decides the verdict and builds the
+    fallback), [solve.guess] per bisection
     attempt (speculative ones flagged [spec=true]), [round.residual] /
     [round.search] / [round.augment] per cancellation round,
     [oracle.solve] / [oracle.gate_fallback] around the k=1 oracle path and

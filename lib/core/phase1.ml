@@ -9,10 +9,12 @@ type result =
   | No_k_paths
   | Lp_infeasible
 
-let of_paths t paths =
+let start_of t paths =
   let cost = List.fold_left (fun acc p -> acc + Path.cost t.Instance.graph p) 0 paths in
   let delay = List.fold_left (fun acc p -> acc + Path.delay t.Instance.graph p) 0 paths in
-  Start { paths; cost; delay }
+  { paths; cost; delay }
+
+let of_paths t paths = Start (start_of t paths)
 
 let disjoint_flow_paths t ~weight =
   match
@@ -21,7 +23,7 @@ let disjoint_flow_paths t ~weight =
       ~cost:weight ~src:t.Instance.src ~dst:t.Instance.dst ~amount:t.Instance.k
   with
   | None -> None
-  | Some { Krsp_flow.Mcmf.flow; _ } ->
+  | Some { Krsp_flow.Mcmf.flow; cost } ->
     let edges =
       G.fold_edges t.Instance.graph ~init:[] ~f:(fun acc e ->
           if flow.(e) > 0 then e :: acc else acc)
@@ -30,17 +32,24 @@ let disjoint_flow_paths t ~weight =
       Krsp_graph.Walk.decompose_st t.Instance.graph ~src:t.Instance.src ~dst:t.Instance.dst
         ~k:t.Instance.k edges
     in
-    Some paths
+    Some (paths, cost)
 
 let min_sum t =
   match disjoint_flow_paths t ~weight:(G.cost t.Instance.graph) with
   | None -> No_k_paths
-  | Some paths -> of_paths t paths
+  | Some (paths, _) -> of_paths t paths
 
+(* The cycles the decomposition strips off a min-delay flow carry zero
+   delay (weights are non-negative, and dropping a positive-delay cycle
+   would leave a cheaper flow), so the paths' delay is the flow's cost:
+   the minimum total delay over any k disjoint paths. *)
 let min_delay t =
   match disjoint_flow_paths t ~weight:(G.delay t.Instance.graph) with
   | None -> No_k_paths
-  | Some paths -> of_paths t paths
+  | Some (paths, dmin) ->
+    let s = start_of t paths in
+    assert (s.delay = dmin);
+    Start s
 
 (* Faithful Lemma-5 style start: basic optimal solution of the delay-budgeted
    flow LP, rounded by an integral min-cost k-flow restricted to the LP

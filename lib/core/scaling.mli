@@ -37,10 +37,16 @@ val solve :
     [rsp_oracle] is forwarded to {!Krsp.solve} on the scaled instance
     (the k=1 fast path and [Rsp_seq] starts then run the selected oracle
     on the scaled weights). [warm_start] is forwarded too —
-    valid because scaling keeps every edge, so edge ids coincide; the same
-    caveats apply (feasibility kept, cost guarantee waived). [pool] is
-    forwarded too (see {!Krsp.solve}). An instance whose phase 1 cannot
-    route k disjoint paths reports [Error No_k_disjoint_paths] rather
-    than tripping an internal assertion. [trace] closes a
-    [scaling.cost_bound] span around the Ĉ-estimating phase 1 run and is
-    forwarded to the inner {!Krsp.solve} (see its span list). *)
+    valid because the scaled graph is a reweighted copy that keeps every
+    edge id, tombstones included; the same caveats apply (feasibility
+    kept, cost guarantee waived). [pool] is
+    forwarded too (see {!Krsp.solve}).
+
+    The verdicts come first, from one min-delay k-flow on the original
+    graph: no flow answers [Error No_k_disjoint_paths], a flow whose delay
+    dmin exceeds [D] answers [Error (Delay_bound_unreachable dmin)], and
+    otherwise the flow's cost is Ĉ. The scaled instance is then feasible
+    by construction, and its solve takes the lazy start-first path of
+    {!Krsp.solve}. [trace] closes a [scaling.cost_bound] span around that
+    flow and is forwarded to the inner {!Krsp.solve} (see its span
+    list). *)

@@ -3,7 +3,7 @@
    - an array of edge-id lists, the mutable ground truth (edges are
      appended by [add_edge] and individually tombstoned by [remove_edge]
      — the list cell stays in place, iteration skips dead ids, so edge
-     identifiers are stable across any mutation history);
+     identifiers are stable until [renumber] drops dead ids);
    - a frozen CSR (compressed sparse row) snapshot — flat [int array]
      index+edge arrays for both directions — built on demand by {!freeze}
      and cached until the next adjacency mutation.
@@ -214,6 +214,43 @@ let unremove_edge t e =
   t.n_removed <- t.n_removed - 1;
   touch t ~u:t.src.(e) ~v:t.dst.(e)
 
+(* Ids are assigned in ascending old-id order, so the map is monotone:
+   every newest-first list stays newest-first and every CSR row keeps its
+   order. The arrays shrink in place (a kept id never moves up). Dropping
+   [base] makes the next freeze a full build. *)
+let renumber t ~keep =
+  let table = Array.make t.m (-1) in
+  let next = ref 0 and dead = ref 0 in
+  for e = 0 to t.m - 1 do
+    let alive = live t e in
+    if alive || keep e then begin
+      let e' = !next in
+      table.(e) <- e';
+      if e' < e then begin
+        t.src.(e') <- t.src.(e);
+        t.dst.(e') <- t.dst.(e);
+        t.cost.(e') <- t.cost.(e);
+        t.delay.(e') <- t.delay.(e);
+        Bytes.unsafe_set t.removed e' (Bytes.unsafe_get t.removed e)
+      end;
+      if not alive then incr dead;
+      incr next
+    end
+  done;
+  let remap = List.filter_map (fun e -> if table.(e) < 0 then None else Some table.(e)) in
+  for v = 0 to t.n - 1 do
+    t.out.(v) <- remap t.out.(v);
+    t.inc.(v) <- remap t.inc.(v)
+  done;
+  t.m <- !next;
+  t.n_removed <- !dead;
+  t.base <- None;
+  t.dirty_out <- [];
+  t.dirty_in <- [];
+  t.patch_edges <- 0;
+  invalidate t;
+  table
+
 let set_compaction_threshold t frac = t.compact_frac <- frac
 
 type topo_stats = {
@@ -357,8 +394,9 @@ module View = struct
   let check_edge v e =
     if e < 0 || e >= v.vm then invalid_arg "Digraph.View: edge outside snapshot"
 
-  (* Edge ids below [vm] stay valid forever (ids are stable), so accessors
-     read straight through to the live weight arrays. *)
+  (* Edge ids below [vm] stay valid until a [renumber] (which voids every
+     earlier view), so accessors read straight through to the live weight
+     arrays. *)
   let src v e = check_edge v e; Array.unsafe_get v.vg.src e
   let dst v e = check_edge v e; Array.unsafe_get v.vg.dst e
   let cost v e = check_edge v e; Array.unsafe_get v.vg.cost e

@@ -23,8 +23,11 @@
     {2 Dynamic topology}
 
     Edges can be tombstoned in place by {!remove_edge} (and revived by
-    {!unremove_edge}): ids never shift, every iteration primitive simply
-    skips dead edges. A {!freeze} after a small mutation batch does not
+    {!unremove_edge}): ids do not shift, every iteration primitive simply
+    skips dead edges. Only {!renumber} moves ids: it drops dead ids and
+    closes the gaps, so a long-lived graph under insert/delete churn
+    keeps its id space — and every array sized by {!m} — proportional to
+    what is alive. A {!freeze} after a small mutation batch does not
     pay O(n + m): it returns a {e delta overlay} — the last full CSR
     build plus override rows for just the vertices whose adjacency
     changed — which is indistinguishable, edge id for edge id, from a
@@ -70,6 +73,17 @@ val unremove_edge : t -> edge -> unit
 
 val alive : t -> edge -> bool
 (** [false] iff the edge is currently tombstoned. *)
+
+val renumber : t -> keep:(edge -> bool) -> int array
+(** [renumber g ~keep] drops every tombstoned id that [keep] rejects
+    ([keep] is asked about dead ids only; live edges always stay) and
+    renumbers the surviving ids densely, in ascending old-id order — so
+    every adjacency row and every newest-first list keeps its order, and
+    a kept tombstone can still be revived under its new id. Returns the
+    old → new table (length: the old {!m}; [-1] for a dropped id).
+    Invalidates frozen views, and forces the next {!freeze} to a full
+    build. Every edge id and view taken before the call is void after
+    it: only ids mapped through the table name edges again. *)
 
 val n : t -> int
 (** Number of vertices. *)
@@ -164,7 +178,7 @@ module View : sig
   val valid : view -> bool
   (** [true] while the underlying graph has not been mutated since the
       freeze. Stale views remain safe to use — they just describe the old
-      adjacency. *)
+      adjacency — until a {!renumber}, after which they must not be read. *)
 
   val is_overlay : view -> bool
   (** [true] iff this view is a delta overlay over an older full build.

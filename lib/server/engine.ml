@@ -32,10 +32,11 @@ let default_config =
     scoped_invalidation = true;
   }
 
-(* cache key: (s, t, k, D, ε) — edge ids are stable across mutations (the
-   live graph mutates in place, tombstoning instead of renumbering), so
-   the key no longer carries the topology generation; the invalidation
-   policy below is what keeps every reachable entry current *)
+(* cache key: (s, t, k, D, ε) — edge ids are stable between renumberings
+   (the live graph mutates in place, tombstoning), and a renumbering
+   flushes the cache and the donors, so the key carries no topology
+   generation; the invalidation policy below is what keeps every
+   reachable entry current *)
 type key = int * int * int * int * float option
 
 type entry = { e_cost : int; e_delay : int; base_paths : int list list }
@@ -45,6 +46,7 @@ type t = {
   cfg : config;
   pool : Pool.t;
   failed : (int, unit) Hashtbl.t;  (** edges downed by FAIL (restorable) *)
+  mutable deleted_ids : int;  (** ids tombstoned by [del] since the last renumbering *)
   mutable generation : int;
   cache : (key, entry) Cache.t;
   (* reverse index edge → cached keys whose solution uses that edge: what
@@ -71,6 +73,7 @@ type t = {
   c_invalidated_entries : Metrics.counter;
   c_stale_hits : Metrics.counter;
   c_index_sweeps : Metrics.counter;
+  c_renumberings : Metrics.counter;
   h_cold : Metrics.histogram;
   h_warm : Metrics.histogram;
   h_hit : Metrics.histogram;
@@ -89,6 +92,7 @@ let create ?(config = default_config) ?pool base =
     cfg = config;
     pool = (match pool with Some p -> p | None -> Pool.default ());
     failed = Hashtbl.create 16;
+    deleted_ids = 0;
     generation = 0;
     cache = Cache.create ~capacity:config.cache_capacity;
     edge_index = Hashtbl.create 64;
@@ -109,6 +113,7 @@ let create ?(config = default_config) ?pool base =
     c_invalidated_entries = Metrics.counter metrics "topo.invalidated_entries";
     c_stale_hits = Metrics.counter metrics "topo.stale_hits_dropped";
     c_index_sweeps = Metrics.counter metrics "topo.index_sweeps";
+    c_renumberings = Metrics.counter metrics "topo.renumberings";
     h_cold = Metrics.histogram metrics "cold_ms";
     h_warm = Metrics.histogram metrics "warm_ms";
     h_hit = Metrics.histogram metrics "cache_hit_ms";
@@ -441,12 +446,37 @@ let do_restore t ?trace ~u ~v () =
       Protocol.Mutated { generation = t.generation; edges = List.length back }
   end
 
+(* Ids removed by [del] are dead for good (RESTORE revives FAILed edges
+   only), yet every per-solve array is sized by the id count. Once they
+   outnumber max(64, live edges), drop them and renumber the rest: the
+   FAIL set follows the table, and cached paths and donors, which name old
+   ids, are flushed rather than remapped. Each renumbering needs more than
+   64 fresh [del]s, and every id past the initial m0 came from an [ins],
+   which flushes anyway: at most one extra flush per 64 inserts, plus
+   m0/64 once. Shards apply the same batches, so they renumber in
+   lockstep. *)
+let renumber_slack = 64
+
+let maybe_renumber t ?trace () =
+  if t.deleted_ids <= max renumber_slack (G.m_alive t.graph) then false
+  else begin
+    Trace.with_span trace "topo.renumber" (fun () ->
+        let table = G.renumber t.graph ~keep:(Hashtbl.mem t.failed) in
+        let failed = Hashtbl.fold (fun e () acc -> table.(e) :: acc) t.failed [] in
+        Hashtbl.reset t.failed;
+        List.iter (fun e -> Hashtbl.replace t.failed e ()) failed);
+    t.deleted_ids <- 0;
+    Metrics.incr t.c_renumberings;
+    true
+  end
+
 (* MUTATE: one batched topology edit under a single generation bump.
    Validation first (the whole line is applied or rejected), then the
    sequential application classifies the batch: restrictive ops (del,
    weight increases) only ever worsen queries that touch them — scoped
    invalidation; any expansive op (ins, a weight decrease) can improve
-   anything — full flush plus donor reset, exactly RESTORE's rule. *)
+   anything — full flush plus donor reset, exactly RESTORE's rule. A
+   batch after which the ids get renumbered counts as expansive. *)
 let do_mutate t ?trace ~ops () =
   Trace.with_span trace "topo.mutate" @@ fun () ->
   let n = G.n t.graph in
@@ -488,6 +518,7 @@ let do_mutate t ?trace ~ops () =
             (fun e ->
               G.remove_edge t.graph e;
               restrictive_edges := e :: !restrictive_edges;
+              t.deleted_ids <- t.deleted_ids + 1;
               incr affected)
             (directed_live u v)
         | Protocol.Rew { u; v; cost; delay } ->
@@ -510,8 +541,9 @@ let do_mutate t ?trace ~ops () =
       if !affected = 0 then 0
       else begin
         bump_generation t;
+        let renumbered = maybe_renumber t ?trace () in
         Trace.with_span trace "topo.invalidate" @@ fun () ->
-        if !expansive then invalidate_expansive t
+        if !expansive || renumbered then invalidate_expansive t
         else invalidate_restrictive t ~edges:!restrictive_edges
       end
     in
@@ -549,6 +581,7 @@ let local_kv t =
       ("topo.patched_edges", string_of_int ts.G.patched_edges);
       ("topo.patch_pending", string_of_int ts.G.patch_pending);
       ("topo.removed_edges", string_of_int ts.G.removed_edges);
+      ("topo.edge_ids", string_of_int (G.m t.graph));
       ("topo.index_pairs", string_of_int t.indexed_pairs)
     ]
 

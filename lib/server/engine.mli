@@ -17,10 +17,17 @@
     restorable set). Every mutation that affects at least one edge bumps
     the topology {e generation}.
 
-    Edge ids are stable across all of this (removal tombstones, it never
-    renumbers), so cached solutions are keyed by [(s, t, k, D, ε)] alone
-    and carry real edge ids of the live graph — no per-generation
-    re-keying or id translation.
+    Edge ids are stable between renumberings (removal tombstones), so
+    cached solutions are keyed by [(s, t, k, D, ε)] alone and carry real
+    edge ids of the live graph — no per-generation re-keying or id
+    translation. Ids removed by [del] are dead for good; once they
+    outnumber max(64, live edges) after a [MUTATE] batch, the engine
+    renumbers them away ({!Krsp_graph.Digraph.renumber}), maps the FAIL
+    set through the table, and treats the batch as expansive (cache
+    flush plus donor reset), so the id count — and every per-solve array
+    sized by it — stays within a constant factor of the live graph.
+    Counted as [topo.renumberings]; [topo.edge_ids] reports the id
+    count.
 
     Solves run against {!Krsp_graph.Digraph.freeze} of the live graph:
     with [overlay_views] on (the default) that is the delta-overlay path —
@@ -112,7 +119,8 @@ val handle : t -> ?trace:Krsp_obs.Trace.ctx -> Protocol.request -> Protocol.resp
     of every request that does not solve), [solve.job] is its sibling
     around the solve itself (which threads the context on into
     {!Krsp_core.Krsp.solve}), mutations get [topo.fail] / [topo.restore] /
-    [topo.mutate] (the latter with a nested [topo.invalidate]), and a
+    [topo.mutate] (the latter with a nested [topo.invalidate], and a
+    nested [topo.renumber] when the batch renumbers the ids), and a
     solve annotates the context's root span with [source]
     (cache/warm/cold/infeasible), [oracle], [donor], [rounds], [guesses]
     and any [numeric_fallbacks] delta — the facts the slow-request log

@@ -401,6 +401,13 @@ let generations t = Array.map (fun s -> Engine.generation s.engine) t.shards
 
 let int_kv k v = (k, string_of_int v)
 
+(* the live graph's id count; shards renumber in lockstep, so the max is
+   every shard's value *)
+let edge_ids t =
+  Array.fold_left
+    (fun acc s -> max acc (G.m (Engine.live_graph s.engine)))
+    0 t.shards
+
 let stats_kv t =
   (* fleet-aggregated engine view: merged metric registries plus summed
      cache counters. Counters read from other domains are exact (every
@@ -422,7 +429,8 @@ let stats_kv t =
       int_kv "cache.evictions" (cache_sum (fun c -> c.Cache.evictions));
       int_kv "cache.invalidations" (cache_sum (fun c -> c.Cache.invalidations));
       int_kv "cache.length" (sum (fun e -> fst (Engine.cache_occupancy e)));
-      int_kv "cache.capacity" (sum (fun e -> snd (Engine.cache_occupancy e)))
+      int_kv "cache.capacity" (sum (fun e -> snd (Engine.cache_occupancy e)));
+      int_kv "topo.edge_ids" (edge_ids t)
     ]
   @ Metrics.to_kv Krsp_core.Krsp.metrics
   @ Metrics.to_kv Krsp_rsp.Rsp_engine.metrics
@@ -453,7 +461,8 @@ let prometheus t =
       ("cache.length", f (sum (fun e -> fst (Engine.cache_occupancy e))));
       ("cache.capacity", f (sum (fun e -> snd (Engine.cache_occupancy e))));
       ("cache.hits", f (cache_sum (fun c -> c.Cache.hits)));
-      ("cache.misses", f (cache_sum (fun c -> c.Cache.misses)))
+      ("cache.misses", f (cache_sum (fun c -> c.Cache.misses)));
+      ("topo.edge_ids", f (edge_ids t))
     ]
     @ Array.to_list
         (Array.map

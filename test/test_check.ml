@@ -255,7 +255,9 @@ let test_corpus_replay () =
 (* --- churn traces (.churn corpus + differential replay) ----------------------- *)
 
 let churn_fixture () =
-  (* the diamond plus a pier edge, with a trace hitting every mutation kind *)
+  (* the diamond plus a pier edge, with a trace hitting every mutation kind
+     and a renumbering (after which the restore of the dropped edge 1 is
+     skipped and edge 5, the insert, is named by its original id) *)
   let g = G.create ~n:4 () in
   ignore (G.add_edge g ~src:0 ~dst:1 ~cost:1 ~delay:10);
   ignore (G.add_edge g ~src:1 ~dst:3 ~cost:1 ~delay:10);
@@ -271,7 +273,12 @@ let churn_fixture () =
           Differential.M_rew { edge = 0; cost = 1; delay = 2 };
           Differential.M_ins { u = 0; v = 3; cost = 3; delay = 3 }
         ];
-      Differential.C_solve { src = 0; dst = 3; k = 3; delay_bound = 30 }
+      Differential.C_solve { src = 0; dst = 3; k = 3; delay_bound = 30 };
+      Differential.C_batch [ Differential.M_del 1 ];
+      Differential.C_renumber;
+      Differential.C_batch
+        [ Differential.M_restore 1; Differential.M_rew { edge = 5; cost = 1; delay = 1 } ];
+      Differential.C_solve { src = 0; dst = 3; k = 2; delay_bound = 30 }
     ]
   in
   (g, trace)

@@ -811,6 +811,119 @@ let scaling_ratio_prop =
            | Error _, None -> true
            | _ -> false)))
 
+(* --- the solve prologue ----------------------------------------------------------- *)
+
+(* The verdicts decided eagerly, as a reference: a BFS k-connectivity
+   check, then the min-delay k-flow's cost against D. *)
+let eager_verdict (t : Instance.t) =
+  if not (Krsp_graph.Bfs.edge_connectivity_at_least t.graph ~src:t.src ~dst:t.dst ~k:t.k) then
+    Some Krsp.No_k_disjoint_paths
+  else
+    match Instance.min_possible_delay t with
+    | None -> Some Krsp.No_k_disjoint_paths
+    | Some dmin when dmin > t.delay_bound -> Some (Krsp.Delay_bound_unreachable dmin)
+    | Some _ -> None
+
+let phase1_kinds = [| Phase1.Min_sum; Phase1.Min_delay; Phase1.Lp_rounding; Phase1.Rsp_seq |]
+
+(* A multigraph instance (parallel edges, tombstones) from s = 0 to
+   t = n - 1, with D drawn from below dmin to above the min-sum delay,
+   and a warm start that is absent, valid, damaged or garbage. *)
+let prologue_case rng =
+  let n = 3 + X.int rng 4 in
+  let g = G.create ~n () in
+  for _ = 1 to (2 * n) + X.int rng (4 * n) do
+    let u = X.int rng n and v = X.int rng n in
+    if u <> v then ignore (G.add_edge g ~src:u ~dst:v ~cost:(X.int rng 7) ~delay:(X.int rng 7))
+  done;
+  G.iter_edges g (fun e -> if X.int rng 6 = 0 then G.remove_edge g e);
+  let k = 1 + X.int rng 3 in
+  let probe = Instance.create g ~src:0 ~dst:(n - 1) ~k ~delay_bound:0 in
+  let valid = ref [] in
+  let delay_bound =
+    match (Instance.min_possible_delay probe, Phase1.min_sum probe, Phase1.min_delay probe) with
+    | Some dmin, Phase1.Start ms, Phase1.Start md -> (
+      valid := [ ms.Phase1.paths; md.Phase1.paths ];
+      match X.int rng 3 with
+      | 0 -> max 0 (dmin - 1 - X.int rng 3)
+      | 1 -> dmin + X.int rng (ms.Phase1.delay - dmin + 1)
+      | _ -> ms.Phase1.delay + X.int rng 4)
+    | _ -> X.int rng 30
+  in
+  let t = Instance.create g ~src:0 ~dst:(n - 1) ~k ~delay_bound in
+  let garbage () =
+    List.init (X.int rng 4) (fun _ -> List.init (X.int rng 4) (fun _ -> X.int rng (G.m g + 3) - 1))
+  in
+  let warm_start =
+    match (X.int rng 4, !valid) with
+    | 0, _ -> None
+    | 1, (_ :: _ as v) -> Some (List.nth v (X.int rng (List.length v)))
+    | 2, (_ :: _ as v) ->
+      (* drop one path, or cut one short *)
+      let paths = List.nth v (X.int rng (List.length v)) in
+      let i = X.int rng (List.length paths) in
+      Some
+        (if X.bool rng then List.filteri (fun j _ -> j <> i) paths
+         else List.mapi (fun j p -> if j = i then List.tl p else p) paths)
+    | _ -> Some (garbage ())
+  in
+  (t, warm_start)
+
+let zero_stats ~warm_started =
+  {
+    Krsp.iterations = 0;
+    type0 = 0;
+    type1 = 0;
+    type2 = 0;
+    guesses_tried = 0;
+    final_guess = 0;
+    used_fallback = false;
+    warm_started;
+  }
+
+(* The solve takes its start first and decides its verdicts lazily; the
+   verdicts must still be the eager reference's, constructor and dmin
+   payload alike — at every phase-1 kind, with and without a warm start,
+   and through Scaling.solve too. A start that meets D comes back as-is. *)
+let prologue_verdict_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"lazy prologue = eager verdicts, feasible start as-is" ~count:400
+       QCheck2.Gen.int
+       (fun seed ->
+         let rng = X.create ~seed in
+         let t, warm_start = prologue_case rng in
+         let phase1 = phase1_kinds.(X.int rng (Array.length phase1_kinds)) in
+         let verdict = eager_verdict t in
+         let repaired = Option.bind warm_start (fun paths -> Krsp.repair t ~paths) in
+         let start =
+           match repaired with
+           | Some _ -> repaired
+           | None -> (
+             match Phase1.run phase1 t with Phase1.Start s -> Some s.Phase1.paths | _ -> None)
+         in
+         let solved =
+           match
+             (verdict, Krsp.solve t ~phase1 ?warm_start ~max_iterations:50 ~guess_steps:4 ())
+           with
+           | Some e, Error e' -> e = e'
+           | None, Ok (sol, stats) -> (
+             Instance.is_feasible t sol
+             &&
+             match start with
+             | Some paths
+               when (Instance.solution_of_paths t paths).Instance.delay <= t.delay_bound ->
+               sol.Instance.paths = paths && stats = zero_stats ~warm_started:(repaired <> None)
+             | _ -> stats.Krsp.warm_started = (repaired <> None))
+           | _ -> false
+         in
+         let scaled =
+           match (verdict, Scaling.solve t ~epsilon1:0.5 ~epsilon2:0.5 ~phase1 ?warm_start ()) with
+           | Some e, Error e' -> e = e'
+           | None, Ok r -> Instance.is_structurally_valid t r.Scaling.solution.Instance.paths
+           | _ -> false
+         in
+         solved && scaled))
+
 (* --- Exact ---------------------------------------------------------------------- *)
 
 let test_exact_diamond () =
@@ -956,6 +1069,7 @@ let suites =
       ] );
     ( "scaling",
       [ Alcotest.test_case "diamond" `Quick test_scaling_diamond; scaling_ratio_prop ] );
+    ("prologue", [ prologue_verdict_prop ]);
     ( "exact",
       [ Alcotest.test_case "diamond" `Quick test_exact_diamond;
         Alcotest.test_case "infeasible" `Quick test_exact_infeasible;

@@ -145,6 +145,31 @@ let suurballe_paths_prop =
            && Path.edge_disjoint paths
            && List.for_all (fun p -> Path.is_valid g ~src:0 ~dst:(n - 1) p) paths))
 
+(* The solver's prologue lets a failed min-cost flow stand for "fewer than
+   k disjoint paths", with no BFS connectivity check before it: the two
+   verdicts must agree on every multigraph — parallel edges, self-loops
+   and tombstoned edges included. *)
+let bfs_iff_mcmf_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"k-connectivity by BFS iff an MCMF k-flow exists" ~count:300
+       QCheck2.Gen.int
+       (fun seed ->
+         let rng = X.create ~seed in
+         let n = 2 + X.int rng 6 in
+         let g = G.create ~n () in
+         for _ = 1 to X.int rng (4 * n) do
+           ignore
+             (G.add_edge g ~src:(X.int rng n) ~dst:(X.int rng n) ~cost:(X.int rng 9)
+                ~delay:(X.int rng 9))
+         done;
+         G.iter_edges g (fun e -> if X.int rng 4 = 0 then G.remove_edge g e);
+         let src = X.int rng n in
+         let dst = (src + 1 + X.int rng (n - 1)) mod n in
+         let k = 1 + X.int rng 4 in
+         Krsp_graph.Bfs.edge_connectivity_at_least g ~src ~dst ~k
+         = (Mcmf.min_cost_flow g ~capacity:(fun _ -> 1) ~cost:(G.cost g) ~src ~dst ~amount:k
+            <> None)))
+
 (* --- Decompose ------------------------------------------------------------ *)
 
 let test_decompose_circulation () =
@@ -215,7 +240,8 @@ let suites =
         Alcotest.test_case "trap graph" `Quick test_suurballe_trap;
         Alcotest.test_case "infeasible" `Quick test_suurballe_infeasible;
         suurballe_matches_lp_prop;
-        suurballe_paths_prop
+        suurballe_paths_prop;
+        bfs_iff_mcmf_prop
       ] );
     ( "decompose",
       [ Alcotest.test_case "circulation" `Quick test_decompose_circulation;

@@ -218,7 +218,8 @@ let csr_matches_lists_prop =
          !ok))
 
 (* tentpole property: after any interleaved script of inserts, deletes,
-   revives, re-weights and vertex additions, the overlay freeze is
+   revives, re-weights, vertex additions and renumberings, the overlay
+   freeze is
    bit-indistinguishable from a from-scratch full build — identical edge
    sequences (ids and weights) per vertex in both directions, identical
    spans and degrees — at every compaction regime, including runs that
@@ -274,7 +275,7 @@ let overlay_equals_refreeze_prop =
          in
          for _ = 1 to 30 do
            let n = G.n g and m = G.m g in
-           match X.int rng 10 with
+           match X.int rng 11 with
            | 0 | 1 | 2 ->
              let u = X.int rng n and v = X.int rng n in
              ignore (G.add_edge g ~src:u ~dst:v ~cost:(X.int rng 9) ~delay:(X.int rng 9))
@@ -295,6 +296,7 @@ let overlay_equals_refreeze_prop =
                G.set_delay g e (X.int rng 9)
              end
            | 7 -> ignore (G.add_vertex g)
+           | 8 -> ignore (G.renumber g ~keep:(fun _ -> X.bool rng))
            | _ -> check ()
          done;
          check ();
@@ -320,6 +322,66 @@ let test_remove_unremove () =
   Alcotest.check_raises "unremove of live edge rejected"
     (Invalid_argument "Digraph.unremove_edge: edge is not removed") (fun () ->
       G.unremove_edge g e13)
+
+(* A renumbered graph is, through the returned table, a fresh build of
+   the kept edges — live ones and the tombstones [keep] accepted, appended
+   in ascending old-id order: the same endpoints, weights and liveness per
+   id, the same newest-first lists and CSR rows — and its next freeze is a
+   full build, not an overlay over the stale base. *)
+let renumber_equals_fresh_build_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"renumber = fresh build of the kept edges" ~count:200
+       QCheck2.Gen.int
+       (fun seed ->
+         let rng = X.create ~seed in
+         let n = 1 + X.int rng 5 in
+         let g = G.create ~expected_edges:4 ~n () in
+         for _ = 1 to X.int rng 30 do
+           ignore
+             (G.add_edge g ~src:(X.int rng n) ~dst:(X.int rng n) ~cost:(X.int rng 9)
+                ~delay:(X.int rng 9))
+         done;
+         ignore (G.freeze g);
+         G.iter_edges g (fun e -> if X.int rng 3 = 0 then G.remove_edge g e);
+         let before = G.copy g in
+         let keep = Array.init (G.m g) (fun _ -> X.bool rng) in
+         let full0 = (G.topo_stats g).G.full_freezes in
+         let table = G.renumber g ~keep:(fun e -> keep.(e)) in
+         let fresh = G.create ~n () in
+         let expect =
+           Array.init (G.m before) (fun e ->
+               if G.alive before e || keep.(e) then
+                 G.add_edge fresh ~src:(G.src before e) ~dst:(G.dst before e)
+                   ~cost:(G.cost before e) ~delay:(G.delay before e)
+               else -1)
+         in
+         Array.iteri
+           (fun e e' -> if e' >= 0 && not (G.alive before e) then G.remove_edge fresh e')
+           expect;
+         let ids = List.init (G.m g) Fun.id in
+         let lists h = List.init n (fun u -> (G.out_edges h u, G.in_edges h u)) in
+         let rows v =
+           List.init n (fun u ->
+               ( V.fold_out v u ~init:[] ~f:(fun a e -> e :: a),
+                 V.fold_in v u ~init:[] ~f:(fun a e -> e :: a) ))
+         in
+         let view = G.freeze g in
+         table = expect
+         && G.m g = G.m fresh
+         && G.m_alive g = G.m_alive before
+         && (G.topo_stats g).G.removed_edges = (G.topo_stats fresh).G.removed_edges
+         && List.for_all
+              (fun e ->
+                G.src g e = G.src fresh e
+                && G.dst g e = G.dst fresh e
+                && G.cost g e = G.cost fresh e
+                && G.delay g e = G.delay fresh e
+                && G.alive g e = G.alive fresh e)
+              ids
+         && lists g = lists fresh
+         && rows view = rows (G.rebuild fresh)
+         && (not (V.is_overlay view))
+         && (G.topo_stats g).G.full_freezes = full0 + 1))
 
 let test_topo_stats_counters () =
   let g = G.create ~n:4 () in
@@ -719,7 +781,8 @@ let suites =
     ( "dynamic-topology",
       [ Alcotest.test_case "remove/unremove bookkeeping" `Quick test_remove_unremove;
         Alcotest.test_case "topo_stats counters" `Quick test_topo_stats_counters;
-        overlay_equals_refreeze_prop
+        overlay_equals_refreeze_prop;
+        renumber_equals_fresh_build_prop
       ] );
     ( "path",
       [ Alcotest.test_case "accessors" `Quick test_path_accessors;

@@ -347,6 +347,70 @@ let test_tracing_is_pure () =
   in
   Alcotest.(check string) "identical solution with tracing on" untraced traced
 
+(* The solve prologue's spans: the start's span comes first, and
+   [solve.min_delay_bound] appears only when the start is over D. A MUTATE
+   batch that renumbers the edge ids closes [topo.renumber] inside
+   [topo.mutate]. *)
+let traced f =
+  with_policy Trace.All (fun () ->
+      Trace.clear ();
+      let ctx = Trace.start () in
+      f ctx;
+      ignore (Trace.finish (Option.get ctx) "REQ");
+      let spans = Trace.events () in
+      Trace.clear ();
+      spans)
+
+let names spans =
+  List.map
+    (fun s -> s.Trace.name)
+    (List.sort (fun a b -> Int64.compare a.Trace.t_start_ns b.Trace.t_start_ns) spans)
+
+let test_prologue_and_renumber_spans () =
+  let solve_names d =
+    names
+      (traced (fun trace ->
+           ignore
+             (Krsp.solve ?trace
+                (Instance.create (diamond ()) ~src:0 ~dst:3 ~k:2 ~delay_bound:d)
+                ())))
+  in
+  let has n l = List.mem n l in
+  let index n l =
+    let rec go i = function [] -> max_int | x :: r -> if x = n then i else go (i + 1) r in
+    go 0 l
+  in
+  let before a b l = index a l < index b l in
+  let feasible = solve_names 30 in
+  Alcotest.(check bool) "a start that meets D runs phase 1 only" true
+    (has "solve.phase1" feasible && not (has "solve.min_delay_bound" feasible));
+  let binding = solve_names 10 in
+  Alcotest.(check bool) "a start over D builds the fallback after phase 1" true
+    (before "solve.phase1" "solve.min_delay_bound" binding && has "solve.guess" binding);
+  let unreachable = solve_names 3 in
+  Alcotest.(check bool) "an unreachable D is decided by the min-delay flow" true
+    (before "solve.phase1" "solve.min_delay_bound" unreachable
+    && not (has "solve.guess" unreachable));
+  let engine = Krsp_server.Engine.create (diamond ()) in
+  let mutate line trace =
+    match Protocol.parse_request line with
+    | Ok r -> ignore (Krsp_server.Engine.handle engine ?trace r)
+    | Error _ -> Alcotest.failf "unparsable %s" line
+  in
+  (* 65 ins/del pairs leave 65 dead ids: more than max(64, 5 live edges) *)
+  for _ = 1 to 64 do
+    mutate "MUTATE ins:1:2:1:1" None;
+    mutate "MUTATE del:1:2" None
+  done;
+  mutate "MUTATE ins:1:2:1:1" None;
+  let spans = traced (mutate "MUTATE del:1:2") in
+  let find n = List.find_opt (fun s -> s.Trace.name = n) spans in
+  match (find "topo.mutate", find "topo.renumber") with
+  | Some m, Some r ->
+    Alcotest.(check bool) "topo.renumber nested in topo.mutate" true
+      (r.Trace.t_start_ns >= m.Trace.t_start_ns && r.Trace.t_end_ns <= m.Trace.t_end_ns)
+  | _ -> Alcotest.failf "spans: %s" (String.concat " " (names spans))
+
 let suites =
   [ ( "obs.policy",
       [ Alcotest.test_case "parse KRSP_TRACE syntax" `Quick test_policy_parse;
@@ -356,7 +420,8 @@ let suites =
     ( "obs.trace",
       [ Alcotest.test_case "span nesting and chrome export" `Quick test_spans_and_chrome_export;
         Alcotest.test_case "json validation rejects malformed" `Quick test_json_rejects_malformed;
-        Alcotest.test_case "tracing does not perturb solves" `Quick test_tracing_is_pure
+        Alcotest.test_case "tracing does not perturb solves" `Quick test_tracing_is_pure;
+        Alcotest.test_case "prologue and renumber spans" `Quick test_prologue_and_renumber_spans
       ] );
     ( "obs.metrics",
       [ Alcotest.test_case "merged tail percentiles" `Quick test_merge_percentiles ] );

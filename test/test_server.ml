@@ -502,6 +502,162 @@ let test_no_stale_cache_hits () =
   Alcotest.(check int) "stale-hit guard never fired" 0
     (Metrics.value (Metrics.counter (Engine.metrics engine) "topo.stale_hits_dropped"))
 
+(* Edge-id renumbering under a long ins/del stream: every MUTATE del leaves
+   a dead id behind, and the engine renumbers once they outnumber
+   max(64, live edges). The loaded graph carries three tombstones below
+   every live id, so the first renumbering moves every id. Over 240
+   ins/del pairs, with solves between each insert and delete (so the
+   cache is full when a delete renumbers) and two FAILed links held down
+   across renumberings (a base link, then an inserted one whose id moves
+   at every renumbering): the id count stays bounded, RESTORE brings back
+   the same link, every reply certifies against a replica the test keeps
+   itself (never renumbered), the cached entries stay current after every
+   mutation, and a 2-shard fleet answers line for line alike. *)
+let test_engine_renumber () =
+  let module X = Krsp_util.Xoshiro in
+  let module Check = Krsp_check.Check in
+  let rng = X.create ~seed:2031 in
+  let n = 8 in
+  let base = G.create ~n () in
+  List.iter (G.remove_edge base)
+    (List.init 3 (fun v -> G.add_edge base ~src:v ~dst:(v + 1) ~cost:1 ~delay:1));
+  for v = 0 to n - 2 do
+    ignore (G.add_edge base ~src:v ~dst:(v + 1) ~cost:(1 + X.int rng 5) ~delay:(1 + X.int rng 5));
+    ignore (G.add_edge base ~src:(v + 1) ~dst:v ~cost:(1 + X.int rng 5) ~delay:(1 + X.int rng 5))
+  done;
+  List.iter
+    (fun (u, v) ->
+      ignore (G.add_edge base ~src:u ~dst:v ~cost:(2 + X.int rng 5) ~delay:(1 + X.int rng 3)))
+    [ (0, 3); (2, 5); (4, 7); (1, 6) ];
+  let engine = Engine.create base in
+  let fleet = Shard.create ~shards:2 base in
+  Fun.protect ~finally:(fun () -> Shard.shutdown fleet) @@ fun () ->
+  (* the replica: krspd's semantics applied to a graph that is never
+     renumbered; ins only ever adds a link that has no live edge *)
+  let replica = G.copy base in
+  let directed u v = List.filter (fun e -> G.dst replica e = v) (G.out_edges replica u) in
+  (* ((min u v, max u v), the replica edges FAIL took down), oldest last *)
+  let failed = ref [] in
+  let strip line =
+    match Protocol.parse_response line with
+    | Ok (Protocol.Solution r) -> Protocol.print_response (Protocol.Solution { r with ms = 0. })
+    | _ -> line
+  in
+  let send line =
+    let reply = Engine.handle_line engine line in
+    Alcotest.(check string) ("fleet: " ^ line) (strip reply) (strip (Shard.handle_line fleet line));
+    reply
+  in
+  let certify_reply ~src ~dst ~k ~d reply =
+    let inst = Instance.create replica ~src ~dst ~k ~delay_bound:d in
+    match Protocol.parse_response reply with
+    | Ok (Protocol.Solution { cost; delay; paths; _ }) ->
+      let hop u v =
+        match directed u v with
+        | [ e ] -> e
+        | _ -> Alcotest.failf "%s: no single live %d->%d edge" reply u v
+      in
+      let rec edges = function u :: (v :: _ as rest) -> hop u v :: edges rest | _ -> [] in
+      let sol = { Instance.paths = List.map edges paths; cost; delay } in
+      let cert = Check.certify ~level:Check.Structural inst sol in
+      if not (Check.ok cert) then Alcotest.failf "%s: %s" reply (Check.to_string cert)
+    | Ok (Protocol.Err Protocol.Infeasible_disjoint) -> (
+      match Check.audit_infeasible inst Check.Too_few_disjoint_paths with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "%s: %s" reply msg)
+    | Ok (Protocol.Err (Protocol.Infeasible_delay dmin)) -> (
+      match Check.audit_infeasible inst (Check.Delay_unreachable dmin) with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "%s: %s" reply msg)
+    | _ -> Alcotest.failf "SOLVE %d %d %d %d: %s" src dst k d reply
+  in
+  let solve () =
+    let src = X.int rng (n - 1) in
+    let dst = src + 1 + X.int rng (n - 1 - src) in
+    let k = 1 + X.int rng 2 and d = [| 8; 20; 60 |].(X.int rng 3) in
+    certify_reply ~src ~dst ~k ~d (send (Printf.sprintf "SOLVE %d %d %d %d" src dst k d))
+  in
+  let edge_ids () = G.m (Engine.live_graph engine) in
+  let check_bound batch =
+    let g = Engine.live_graph engine in
+    let bound = (2 * max 64 (G.m_alive g + Engine.failed_edges engine)) + batch in
+    if edge_ids () > bound then Alcotest.failf "edge ids %d exceed %d" (edge_ids ()) bound
+  in
+  let mutate op =
+    (match Protocol.parse_response (send ("MUTATE " ^ op)) with
+    | Ok (Protocol.Mutated _) -> ()
+    | _ -> Alcotest.failf "MUTATE %s refused" op);
+    check_bound 1;
+    ignore (assert_cache_current "renumber" engine)
+  in
+  let fail (u, v) =
+    ignore (send (Printf.sprintf "FAIL %d %d" u v));
+    let down = directed u v @ directed v u in
+    List.iter (G.remove_edge replica) down;
+    failed := ((min u v, max u v), down) :: !failed
+  in
+  let restore_oldest () =
+    let (u, v), down = List.hd (List.rev !failed) in
+    failed := List.remove_assoc (u, v) !failed;
+    ignore (send (Printf.sprintf "RESTORE %d %d" u v));
+    List.iter (G.unremove_edge replica) down;
+    let g = Engine.live_graph engine in
+    List.iter
+      (fun (a, b) ->
+        let weights = List.map (fun e -> (G.cost replica e, G.delay replica e)) in
+        let live = List.filter (fun e -> G.dst g e = b) (G.out_edges g a) in
+        Alcotest.(check (list (pair int int)))
+          (Printf.sprintf "link %d->%d back after RESTORE" a b)
+          (weights (directed a b))
+          (List.map (fun e -> (G.cost g e, G.delay g e)) live))
+      [ (u, v); (v, u) ];
+    ignore (assert_cache_current "restore" engine)
+  in
+  let pending = Queue.create () and newest = ref None in
+  for pair = 1 to 240 do
+    (* open an insert on a link with no live edge in that direction *)
+    let rec fresh_link tries =
+      let u = X.int rng n and v = X.int rng n in
+      if u <> v && directed u v = [] && not (List.mem_assoc (min u v, max u v) !failed) then
+        Some (u, v)
+      else if tries > 0 then fresh_link (tries - 1)
+      else None
+    in
+    (match fresh_link 20 with
+    | Some (u, v) ->
+      let c = 1 + X.int rng 6 and dl = 1 + X.int rng 6 in
+      mutate (Printf.sprintf "ins:%d:%d:%d:%d" u v c dl);
+      ignore (G.add_edge replica ~src:u ~dst:v ~cost:c ~delay:dl);
+      Queue.push (u, v) pending;
+      newest := Some (u, v)
+    | None -> ());
+    solve ();
+    (* ...and close the oldest once a few are open *)
+    if Queue.length pending > 3 then begin
+      let u, v = Queue.pop pending in
+      mutate (Printf.sprintf "del:%d:%d" u v);
+      List.iter (G.remove_edge replica) (directed u v)
+    end;
+    solve ();
+    if pair = 20 then fail (3, 4);
+    if pair = 140 then Option.iter fail !newest;
+    if pair = 200 || pair = 230 then restore_oldest ()
+  done;
+  let counter name = Metrics.value (Metrics.counter (Engine.metrics engine) name) in
+  Alcotest.(check bool) "ids were renumbered" true (counter "topo.renumberings" >= 3);
+  Alcotest.(check int) "stale-hit guard never fired" 0 (counter "topo.stale_hits_dropped");
+  Alcotest.(check (option string)) "STATS reports the id count"
+    (Some (string_of_int (edge_ids ())))
+    (List.assoc_opt "topo.edge_ids" (Engine.stats_kv engine));
+  (* the fleet's shards renumber in lockstep: its gauge is every shard's
+     count, and its counter sums both shards' renumberings *)
+  let prom = Shard.prometheus fleet in
+  let has line = List.mem line (String.split_on_char '\n' prom) in
+  Alcotest.(check bool) "Prometheus id-count gauge" true
+    (has (Printf.sprintf "krsp_topo_edge_ids %d" (edge_ids ())));
+  Alcotest.(check bool) "Prometheus renumbering counter" true
+    (has (Printf.sprintf "krsp_topo_renumberings_total %d" (2 * counter "topo.renumberings")))
+
 (* --- shard fleet ------------------------------------------------------------- *)
 
 let with_fleet ?queue_bound ~shards f =
@@ -916,6 +1072,7 @@ let suites =
         Alcotest.test_case "epsilon and qos requests" `Quick test_engine_epsilon_and_qos;
         Alcotest.test_case "mutate batches and scoped invalidation" `Quick
           test_engine_mutate;
+        Alcotest.test_case "renumbering under a long ins/del stream" `Quick test_engine_renumber;
         Alcotest.test_case "no stale cache hits under churn" `Quick
           test_no_stale_cache_hits;
         Alcotest.test_case "internal errors answer and cache nothing" `Quick
